@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER
-from repro.core.daskmeans import index_memory_floats
-from repro.core.result import KMeansResult
+from repro.core.result import KMeansResult, refine_from_sums
+from repro.estimator.memory import measured_floats
 
 
 def fit(
@@ -140,9 +140,7 @@ def fit(
             tree.cluster[node] = NO_CLUSTER
             ub_set[node] = np.inf  # invalidate node bounds for mixed leaf
 
-        new_C = C.copy()
-        nz = cnt > 0
-        new_C[nz] = sv[nz] / cnt[nz, None]
+        new_C = refine_from_sums(C, sv, cnt)
         drift = np.sqrt(((new_C - C) ** 2).sum(1))
         n_dist += k
         C = new_C
@@ -157,6 +155,6 @@ def fit(
         centroids=C, labels=labels, n_iter=it, converged=converged,
         iter_times=iter_times, init_time=init_time, n_dist=n_dist,
         pruned_vectors=pruned_vectors,
-        memory_floats=index_memory_floats(tree) + 4 * m + n,
+        memory_floats=measured_floats(tree) + 4 * m + n,
         extra={"f": f},
     )

@@ -13,11 +13,13 @@ Structure per iteration:
    candidate range query;
 4. refine centroids from the per-cluster sum vectors and compute drifts.
 
-The iteration pieces (:func:`compute_cb`, :func:`assign_pass`) are
-module-level so the Spark per-partition operator
-(``repro.spark.daskmeans_spark``) drives the *same* code path: the driver
-computes centroids/bounds, each executor partition runs ``assign_pass``
-over its own persistent Ball-tree.
+Steps 1, 2 and 4 are the driver loop :func:`iterate`, written once for
+the local :func:`fit` and the Spark per-partition operator
+(``repro.spark.daskmeans_spark``). Step 3 is its ``assign`` hook,
+``assign(C, ctree, cb) -> AssignStats``: locally one :func:`assign_pass`
+over the single point tree; on Spark a broadcast of (C, ctree, cb), an
+``assign_pass`` over each partition's persistent Ball-tree and the sum
+of the partitions' stats.
 
 Exactness notes (mirroring the paper's reasoning):
 
@@ -50,7 +52,8 @@ import numpy as np
 
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER, BallTree
-from repro.core.result import KMeansResult
+from repro.core.result import KMeansResult, refine_from_sums
+from repro.estimator import memory
 
 _EPS = 1e-9
 
@@ -69,12 +72,6 @@ def _knn2_linear(C: np.ndarray, q: np.ndarray) -> tuple[int, int, float, float, 
     if dd[i2] < dd[i1]:
         i1, i2 = i2, i1
     return int(i1), int(i2), float(dd[i1]), float(dd[i2]), len(C)
-
-
-def index_memory_floats(tree: BallTree) -> int:
-    """Actual float-slot footprint of a built index (8-byte slots)."""
-    m, d = tree.pivot.shape
-    return m * (2 * d + 7) + len(tree.idx)
 
 
 def compute_cb(
@@ -255,6 +252,86 @@ def assign_pass(
     return AssignStats(sv, cnt, changed, n_dist, pruned_vectors)
 
 
+def check_centroids(init_centroids: np.ndarray, d: int, k: int | None = None) -> np.ndarray:
+    """The input contract of both fits: a finite (k >= 1, d) array of
+    initial centroids (of exactly ``k`` rows when given). Returns a
+    float64 copy, which the fit then owns."""
+    C = np.array(init_centroids, dtype=np.float64)
+    if C.ndim != 2 or len(C) < 1 or C.shape[1] != d or (k is not None and len(C) != k):
+        raise ValueError(
+            f"init_centroids must be a ({k or 'k >= 1'}, {d}) array, got shape {C.shape}"
+        )
+    if not np.isfinite(C).all():
+        raise ValueError("init_centroids must be finite")
+    return C
+
+
+@dataclass
+class LoopResult:
+    """Outcome of :func:`iterate`; the labels stay with ``assign``'s state."""
+
+    centroids: np.ndarray          # final (refined) centroids
+    labels_centroids: np.ndarray   # centroids the final assignment used —
+    # labels are the argmin w.r.t. *these* (assignment precedes the last
+    # refinement), which is what oracle validation must check against
+    ctree: BallTree | None         # the last centroid index
+    n_iter: int
+    converged: bool
+    iter_times: list[float]
+    n_dist: int
+    pruned_vectors: int
+
+
+def iterate(
+    C: np.ndarray,
+    assign,
+    max_iter: int,
+    *,
+    f: int,
+    use_knn: bool = True,
+    use_inter_bound: bool = True,
+) -> LoopResult:
+    """Alg. 1's driver loop, shared by the local and the Spark fit.
+
+    Each iteration rebuilds the centroid index, computes the inter bounds,
+    runs ``assign(C, ctree, cb) -> AssignStats`` over every point, refines
+    the centroids from the summed per-cluster vectors and records their
+    drift for the next Eq. 9 bound. It stops after an iteration in which
+    no label changed.
+    """
+    k = len(C)
+    n_dist = pruned_vectors = it = 0
+    iter_times: list[float] = []
+    cb = drift = ctree = None
+    labels_C = C
+    converged = False
+    for it in range(1, max_iter + 1):
+        t_iter = time.perf_counter()
+        if use_knn:
+            ctree = bt.build(C, f)
+        if use_inter_bound:
+            cb, nd = compute_cb(C, ctree, cb, drift, use_knn=use_knn)
+            n_dist += nd
+        stats = assign(C, ctree, cb)
+        n_dist += stats.n_dist
+        pruned_vectors += stats.pruned_vectors
+
+        labels_C = C
+        C = refine_from_sums(labels_C, stats.sv, stats.cnt)
+        drift = np.sqrt(((C - labels_C) ** 2).sum(axis=1))
+        n_dist += k
+        iter_times.append(time.perf_counter() - t_iter)
+        if not stats.changed:
+            converged = True
+            break
+
+    return LoopResult(
+        centroids=C, labels_centroids=labels_C, ctree=ctree, n_iter=it,
+        converged=converged, iter_times=iter_times, n_dist=n_dist,
+        pruned_vectors=pruned_vectors,
+    )
+
+
 def fit(
     X: np.ndarray,
     init_centroids: np.ndarray,
@@ -273,60 +350,39 @@ def fit(
     towards ``init_time``.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise ValueError(f"X must be a finite 2-D array, got shape {X.shape}")
     n, d = X.shape
-    C = init_centroids.copy()
-    k = len(C)
+    C = check_centroids(init_centroids, d)
 
     t0 = time.perf_counter()
     if tree is None:
         tree = bt.build(X, f)
+    elif tree.X.shape != X.shape or tree.f != f:
+        raise ValueError(
+            f"prebuilt tree indexes shape {tree.X.shape} with f={tree.f}, "
+            f"but X has shape {X.shape} and f={f}"
+        )
     else:
-        assert tree.X.shape == X.shape and tree.f == f
         tree.cluster[:] = NO_CLUSTER
     init_time = time.perf_counter() - t0
 
     labels = np.full(n, NO_CLUSTER, dtype=np.int64)
-    n_dist = 0
-    pruned_vectors = 0
-    iter_times: list[float] = []
-    cb: np.ndarray | None = None
-    drift: np.ndarray | None = None
-    ctree: BallTree | None = None
-    converged = False
-    it = 0
 
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
-        if use_knn:
-            ctree = bt.build(C, f)
-        if use_inter_bound:
-            cb, nd = compute_cb(C, ctree, cb, drift, use_knn=use_knn)
-            n_dist += nd
-        stats = assign_pass(
+    def assign(C, ctree, cb):
+        return assign_pass(
             tree, C, ctree, cb, labels,
             use_knn=use_knn, use_inter_bound=use_inter_bound,
         )
-        n_dist += stats.n_dist
-        pruned_vectors += stats.pruned_vectors
 
-        new_C = C.copy()
-        nz = stats.cnt > 0
-        new_C[nz] = stats.sv[nz] / stats.cnt[nz, None]
-        drift = np.sqrt(((new_C - C) ** 2).sum(axis=1))
-        n_dist += k
-        C = new_C
-        iter_times.append(time.perf_counter() - t_iter)
-        if not stats.changed:
-            converged = True
-            break
-
-    mem = index_memory_floats(tree) + n  # + label array
-    if ctree is not None:
-        mem += index_memory_floats(ctree)
+    loop = iterate(
+        C, assign, max_iter, f=f, use_knn=use_knn, use_inter_bound=use_inter_bound
+    )
     return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, init_time=init_time, n_dist=n_dist,
-        pruned_vectors=pruned_vectors, memory_floats=mem,
+        centroids=loop.centroids, labels=labels, n_iter=loop.n_iter,
+        converged=loop.converged, iter_times=loop.iter_times, init_time=init_time,
+        n_dist=loop.n_dist, pruned_vectors=loop.pruned_vectors,
+        memory_floats=memory.measured_total_floats(tree, loop.ctree, n),
         extra={"f": f, "tree_height": tree.height, "tree_leaves": tree.n_leaves},
     )
 

@@ -46,6 +46,15 @@ class KMeansResult:
         return float(((X - self.centroids[self.labels]) ** 2).sum())
 
 
+def refine_from_sums(old: np.ndarray, sv: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Mean of each cluster from its sum vector ``sv`` and count ``cnt``;
+    empty clusters keep their previous centroid."""
+    out = old.copy()
+    nz = cnt > 0
+    out[nz] = sv[nz] / cnt[nz, None]
+    return out
+
+
 def refine_centroids(
     X: np.ndarray, labels: np.ndarray, old: np.ndarray
 ) -> np.ndarray:
@@ -54,7 +63,4 @@ def refine_centroids(
     cnt = np.bincount(labels, minlength=k).astype(np.float64)
     sums = np.zeros((k, d))
     np.add.at(sums, labels, X)
-    out = old.copy()
-    nz = cnt > 0
-    out[nz] = sums[nz] / cnt[nz, None]
-    return out
+    return refine_from_sums(old, sums, cnt)

@@ -10,12 +10,12 @@ operator:
   replaced each iteration (PySpark caches pickled partitions, so in-task
   mutation would be lost — instead every iteration maps the old state to
   (new state, partial aggregates) and persists the new RDD).
-* **per iteration** — the driver builds the centroid index and the inter
-  bounds exactly as the local algorithm does (``compute_cb``), broadcasts
-  (C, ctree, cb), and each partition runs the *same*
-  ``daskmeans.assign_pass`` over its own tree, returning per-cluster
-  (count, sum) partials. The driver tree-aggregates partials, refines
-  centroids, and loops until no partition changed a label.
+* **per iteration** — the driver runs the local algorithm's own loop,
+  ``daskmeans.iterate`` (centroid index, inter bounds, refinement, drift,
+  convergence). Only its ``assign`` hook is distributed: it broadcasts
+  (C, ctree, cb), each partition runs the *same* ``daskmeans.assign_pass``
+  over its own tree and returns its ``AssignStats`` (per-cluster sums and
+  counts, counters), and the driver sums them.
 
 Because every partition applies the exact algorithm to its share of the
 points and refinement uses global sums, the result equals the local
@@ -35,16 +35,10 @@ from repro.spark import data as sdata
 
 
 @dataclass
-class SparkKMeansResult:
-    centroids: np.ndarray          # final (refined) centroids
-    labels_centroids: np.ndarray   # centroids the final assignment used —
-    # labels are the argmin w.r.t. *these* (assignment precedes the last
-    # refinement), which is what oracle validation must check against
-    n_iter: int
-    converged: bool
+class SparkKMeansResult(daskmeans.LoopResult):
+    """The shared loop's outcome plus the final labels as a DataFrame."""
+
     labels_df: DataFrame           # [id, cluster]
-    n_dist: int
-    pruned_vectors: int
 
 
 def _build_state(part, f: int):
@@ -63,8 +57,6 @@ def fit(
     f: int = 30,
     max_iter: int = 20,
     seed: int = 0,
-    use_knn: bool = True,
-    use_inter_bound: bool = True,
     init_centroids: np.ndarray | None = None,
 ) -> SparkKMeansResult:
     """Distributed Dask-means over a [id, x0..x{d-1}] DataFrame.
@@ -73,16 +65,15 @@ def fit(
     equivalence tests against the local algorithm); otherwise k distinct
     points are sampled with ``seed``.
     """
+    if init_centroids is not None:
+        C = daskmeans.check_centroids(init_centroids, d, k)
     sc = spark.sparkContext
     arrays = sdata.partition_arrays(df, d)
     cached = arrays.mapPartitions(lambda p: _build_state(p, f)).persist()
     cached.count()  # materialize the trees once
     state = cached
 
-    if init_centroids is not None:
-        C = np.array(init_centroids, dtype=np.float64, copy=True)
-        assert len(C) == k
-    else:
+    if init_centroids is None:
         # Deterministic init: k distinct points, seeded; sorted by id for
         # a stable order regardless of partitioning.
         sample = state.flatMap(
@@ -91,37 +82,21 @@ def fit(
         sample.sort(key=lambda t: t[0])
         C = np.array([v for _, v in sample])
 
-    cb = None
-    drift = None
-    n_dist = 0
-    pruned = 0
-    converged = False
-    it = 0
     # Per-iteration broadcasts are referenced by the cached state RDD's
     # pickled closure, so they cannot be destroyed until the final state
     # has been collected — they are tiny (k x d floats + the centroid
     # index), so we keep them and destroy all at the end.
     broadcasts = []
-    labels_C = C
-    for it in range(1, max_iter + 1):
-        ctree = bt.build(C, f) if use_knn else None
-        if use_inter_bound:
-            cb, nd = daskmeans.compute_cb(C, ctree, cb, drift, use_knn=use_knn)
-            n_dist += nd
+
+    def assign(C, ctree, cb):
+        nonlocal cached, state
         bc = sc.broadcast((C, ctree, cb))
         broadcasts.append(bc)
 
         def step(s):
             ids, tree, labels = s
-            C_, ctree_, cb_ = bc.value
-            stats = daskmeans.assign_pass(
-                tree, C_, ctree_, cb_, labels,
-                use_knn=use_knn, use_inter_bound=use_inter_bound,
-            )
-            return (
-                (ids, tree, labels),
-                (stats.sv, stats.cnt, stats.changed, stats.n_dist, stats.pruned_vectors),
-            )
+            stats = daskmeans.assign_pass(tree, *bc.value, labels)
+            return (ids, tree, labels), stats
 
         # Persist + localCheckpoint truncates lineage each iteration so the
         # DAG does not grow with the iteration count.
@@ -131,38 +106,21 @@ def fit(
         cached.unpersist()
         cached = new_full
         state = new_full.map(lambda t: t[0])
+        return daskmeans.AssignStats(
+            sum(p.sv for p in partials), sum(p.cnt for p in partials),
+            any(p.changed for p in partials), sum(p.n_dist for p in partials),
+            sum(p.pruned_vectors for p in partials),
+        )
 
-        sv = sum(p[0] for p in partials)
-        cnt = sum(p[1] for p in partials)
-        changed = any(p[2] for p in partials)
-        n_dist += sum(p[3] for p in partials)
-        pruned += sum(p[4] for p in partials)
-
-        labels_C = C.copy()
-        new_C = C.copy()
-        nz = cnt > 0
-        new_C[nz] = sv[nz] / cnt[nz, None]
-        drift = np.sqrt(((new_C - C) ** 2).sum(axis=1))
-        n_dist += k
-        C = new_C
-        if not changed:
-            converged = True
-            break
+    loop = daskmeans.iterate(C, assign, max_iter, f=f)
 
     # Final labels back into the DataFrame world — collected to the driver
     # first so labels_df carries no lineage into the (unpersisted) state.
-    import pandas as pd
-
     parts = state.map(lambda s: (s[0], s[2])).collect()
-    ids = np.concatenate([p[0] for p in parts])
-    labs = np.concatenate([p[1] for p in parts])
-    labels_df = spark.createDataFrame(
-        pd.DataFrame({"id": ids.astype(np.int64), "cluster": labs.astype(np.int64)})
+    labels_df = sdata.labels_to_spark(
+        spark, np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     )
     cached.unpersist()
     for bc in broadcasts:
         bc.destroy()
-    return SparkKMeansResult(
-        centroids=C, labels_centroids=labels_C, n_iter=it, converged=converged,
-        labels_df=labels_df, n_dist=n_dist, pruned_vectors=pruned,
-    )
+    return SparkKMeansResult(**vars(loop), labels_df=labels_df)

@@ -134,9 +134,3 @@ def test_compute_cb_with_drift_bound_exact():
     np.fill_diagonal(dd, np.inf)
     np.testing.assert_allclose(cb, dd.min(1), rtol=1e-9)
 
-
-def test_index_memory_floats_formula():
-    X = datasets.make("argo_pc", 1000, seed=0)
-    tree = bt.build(X, 16)
-    m, d = tree.pivot.shape
-    assert daskmeans.index_memory_floats(tree) == m * (2 * d + 7) + 1000

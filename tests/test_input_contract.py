@@ -1,0 +1,67 @@
+"""The Dask-means input contract: bad inputs raise ValueError up front."""
+import numpy as np
+import pytest
+
+from repro import datasets
+from repro.core import balltree as bt
+from repro.core import daskmeans, init as cinit
+from repro.spark import data as sdata, daskmeans_spark
+
+
+@pytest.fixture(scope="module")
+def data():
+    X = datasets.make("tdrive", 300, seed=0)
+    return X, cinit.random_init(X, 8, seed=1)
+
+
+def test_nan_in_x_rejected(data):
+    X, C0 = data
+    X = X.copy()
+    X[17, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        daskmeans.fit(X, C0, 3)
+
+
+def test_x_not_2d_rejected(data):
+    X, C0 = data
+    with pytest.raises(ValueError, match="2-D"):
+        daskmeans.fit(X[:, 0], C0, 3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_init_rejected(data, bad):
+    X, C0 = data
+    C0 = C0.copy()
+    C0[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        daskmeans.fit(X, C0, 3)
+
+
+@pytest.mark.parametrize("shape", [(8, 3), (8, 1), (0, 2), (16,)])
+def test_init_of_wrong_shape_rejected(data, shape):
+    X, _ = data
+    with pytest.raises(ValueError, match="init_centroids"):
+        daskmeans.fit(X, np.zeros(shape), 3)
+
+
+def test_prebuilt_tree_with_other_f_rejected(data):
+    X, C0 = data
+    tree = bt.build(X, 16)
+    with pytest.raises(ValueError, match="prebuilt tree"):
+        daskmeans.fit(X, C0, 3, f=30, tree=tree)
+
+
+def test_prebuilt_tree_over_other_points_rejected(data):
+    X, C0 = data
+    tree = bt.build(X[:200], 30)
+    with pytest.raises(ValueError, match="prebuilt tree"):
+        daskmeans.fit(X, C0, 3, f=30, tree=tree)
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (8, 3)])
+def test_spark_init_of_wrong_shape_rejected(spark, data, shape):
+    """k = 8 and d = 2 are the fit's arguments; the init must match both."""
+    X, _ = data
+    df = sdata.to_spark(spark, X, n_partitions=2)
+    with pytest.raises(ValueError, match="init_centroids"):
+        daskmeans_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=np.zeros(shape))

@@ -1,68 +1,44 @@
 """Oracle self-tests: it must accept equivalent results and reject wrong ones."""
-import numpy as np
 import pandas as pd
+import pyspark.sql.functions as Fn
 import pytest
 
-from repro import synth_data
+from repro import datasets
 from repro.oracle import assert_equivalent
+from repro.spark import data as sdata
+
+# Points per unit-wide x0 bucket; floor (not truncation) puts the
+# negative coordinates of tdrive in their own buckets.
+BUCKET_SQL = "SELECT CAST(floor(x0) AS BIGINT) AS b, COUNT(*) AS cnt FROM pts GROUP BY b"
 
 
-def test_oracle_accepts_matching_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "cnt")
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-        li=li,
-    )
+@pytest.fixture(scope="module")
+def pts(spark):
+    return sdata.to_spark(spark, datasets.make("tdrive", 500, seed=0), n_partitions=3)
 
 
-def test_oracle_rejects_wrong_rows(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = (
-        li.groupBy("l_returnflag")
-        .count()
-        .withColumnRenamed("count", "cnt")
-        .selectExpr("l_returnflag", "cnt + 1 AS cnt")
-    )
+def _bucket_counts(pts):
+    return pts.groupBy(Fn.floor("x0").alias("b")).count()
+
+
+def test_oracle_accepts_matching_aggregate(pts):
+    got = _bucket_counts(pts).withColumnRenamed("count", "cnt")
+    assert_equivalent(got, BUCKET_SQL, pts=pts)
+
+
+def test_oracle_rejects_wrong_rows(pts):
+    wrong = _bucket_counts(pts).selectExpr("b", "count + 1 AS cnt")
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, BUCKET_SQL, pts=pts)
 
 
-def test_oracle_rejects_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count()  # spark names it "count"
+def test_oracle_rejects_column_mismatch(pts):
+    got = _bucket_counts(pts)  # spark names it "count"
     with pytest.raises(AssertionError, match="column mismatch"):
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, COUNT(*) AS c FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(got, BUCKET_SQL, pts=pts)
 
 
 def test_oracle_accepts_pandas_tables(spark):
     pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
     got = spark.createDataFrame(pdf).groupBy("k").sum("v").withColumnRenamed("sum(v)", "s")
     assert_equivalent(got, "SELECT k, SUM(v) AS s FROM t GROUP BY k", t=pdf)
-
-
-def test_synth_generators_deterministic(spark):
-    a = synth_data.orders(spark, sf=0.001, seed=3).toPandas()
-    b = synth_data.orders(spark, sf=0.001, seed=3).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_uniform_keys_cover_range(spark):
-    df = synth_data.uniform_keys(spark, n=2000, n_keys=10).toPandas()
-    assert set(df["k"]) <= set(range(1, 11))
-    assert df["k"].nunique() == 10
