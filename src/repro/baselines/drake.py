@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_centroids
 
 
@@ -46,8 +47,9 @@ def _full_sort(X, C, b):
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
-    C = init_centroids.copy()
+    X = check_points(X)
     n, d = X.shape
+    C = check_centroids(init_centroids, d)
     k = len(C)
     b = n_bounds(k)
     n_dist = 0

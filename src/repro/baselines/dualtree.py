@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_from_sums
 from repro.estimator.memory import measured_floats
 
@@ -35,9 +36,9 @@ def fit(
     *,
     f: int = 4,
 ) -> KMeansResult:
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = check_points(X)
     n, d = X.shape
-    C = init_centroids.copy()
+    C = check_centroids(init_centroids, d)
     k = len(C)
 
     t0 = time.perf_counter()

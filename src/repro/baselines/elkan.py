@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_centroids
 
 
@@ -27,8 +28,9 @@ def pairwise(C: np.ndarray) -> np.ndarray:
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
-    C = init_centroids.copy()
+    X = check_points(X)
     n, d = X.shape
+    C = check_centroids(init_centroids, d)
     k = len(C)
     n_dist = 0
     iter_times: list[float] = []

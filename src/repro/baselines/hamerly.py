@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.baselines.elkan import pairwise
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_centroids
 
 
@@ -34,8 +35,9 @@ def _full_assign(X, C):
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
-    C = init_centroids.copy()
+    X = check_points(X)
     n, d = X.shape
+    C = check_centroids(init_centroids, d)
     k = len(C)
     n_dist = 0
     iter_times: list[float] = []

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_centroids
 
 _BLOCK_FLOATS = 8_000_000  # ~64 MB of n x k distance matrix per block
@@ -32,7 +33,8 @@ def assign_labels(X: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
     """Plain Lloyd iterations from the given initial centroids."""
-    C = init_centroids.copy()
+    X = check_points(X)
+    C = check_centroids(init_centroids, X.shape[1])
     n, k = len(X), len(C)
     labels = np.full(n, -1, dtype=np.int64)
     n_dist = 0

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from repro.core import init as cinit
+from repro.core.daskmeans import check_centroids, check_points
 from repro.core.result import KMeansResult, refine_centroids
 
 
@@ -30,8 +31,9 @@ def _group_centroids(C: np.ndarray, G: int, seed: int = 0) -> np.ndarray:
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
-    C = init_centroids.copy()
+    X = check_points(X)
     n, d = X.shape
+    C = check_centroids(init_centroids, d)
     k = len(C)
     G = n_groups(k)
 

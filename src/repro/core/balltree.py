@@ -228,10 +228,11 @@ def range_query(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """All indexed rows within distance ``r`` of ``q`` (plus their distances).
 
-    Used for exact leaf-level assignment: after the 2-NN of a leaf pivot is
-    known, every centroid that can be nearest to *some* point of the leaf
-    lies within ``d1 + 2 * leaf.radius`` of the pivot, so one range query
-    yields the candidate set for a vectorized argmin over the leaf.
+    The per-query form of Dask-means' candidate bound: once the nearest
+    centroid of a node's pivot is at ``d1``, every centroid that can be
+    nearest to *some* point of the node lies within ``d1 + 2 * radius`` of
+    the pivot. (``repro.core.daskmeans`` applies it to whole depths of the
+    point tree at once instead of searching per node.)
     """
     out_i: list[np.ndarray] = []
     out_d: list[np.ndarray] = []

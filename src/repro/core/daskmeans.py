@@ -3,23 +3,40 @@
 Structure per iteration:
 
 1. rebuild the **centroid index** (Ball-tree over the k current centroids);
-2. compute each centroid's **inter bound** cb[j] (Eq. 3) by a 2-NN search
-   over the centroid index, with the drift-based upper bound of Eq. 9;
-3. **Assign** recursively over the spatial-vector index: a node either
+2. compute each centroid's **inter bound** cb[j] (Eq. 3), the distance to
+   its nearest other centroid, by a walk over the centroid index whose
+   candidate lists are cut by the drift bound of Eq. 9;
+3. **Assign** by a walk over the spatial-vector index: a node either
    (a) keeps its previous cluster when the inter bound proves it
-   (Eq. 5), (b) is batch-assigned to its nearest centroid when the 2-NN
-   gap exceeds its diameter (Eq. 6), or (c) is split; leaves assign
-   point-by-point with the point-level inter bound (Eq. 4) and an exact
-   candidate range query;
+   (Eq. 5), (b) is batch-assigned to its nearest centroid when the
+   nearest-two gap exceeds its diameter (Eq. 6), or (c) is split; leaves
+   keep a point's previous cluster when the point-level inter bound
+   proves it (Eq. 4) and take an argmin over their candidates otherwise;
 4. refine centroids from the per-cluster sum vectors and compute drifts.
 
 Steps 1, 2 and 4 are the driver loop :func:`iterate`, written once for
 the local :func:`fit` and the Spark per-partition operator
 (``repro.spark.daskmeans_spark``). Step 3 is its ``assign`` hook,
-``assign(C, ctree, cb) -> AssignStats``: locally one :func:`assign_pass`
-over the single point tree; on Spark a broadcast of (C, ctree, cb), an
+``assign(C, cb) -> AssignStats``: locally one :func:`assign_pass` over
+the single point tree; on Spark a broadcast of (C, cb), an
 ``assign_pass`` over each partition's persistent Ball-tree and the sum
 of the partitions' stats.
+
+**The walk** (both indexes). Alg. 1 recurses node by node and runs a kNN
+search over the centroid index at each node (Eq. 7-8). Here a tree is
+walked one depth at a time: the active nodes of a depth are handled in
+NumPy batches (runs of at most ``_BLOCK_FLOATS`` list entries, taken
+depth-first), and each node carries a *candidate list* of centroid ids
+inherited from its parent (Pelleg & Moore's blacklisting, Kanungo et
+al.'s filtering). The root's list is every centroid. A node's list holds
+every centroid that can be nearest to any point in its ball, so the
+nearest two over the list decide Eq. 6 exactly; its children inherit the
+centroids within d1 + 2r of its pivot, the triangle bound that Eq. 7-8
+prune the kNN search with. The deviation from Alg. 1: the per-node kNN
+over the centroid index becomes this inherited, bound-filtered list, and
+the centroid index now serves Eq. 3/9 only — :func:`compute_cb` walks it
+with the centroids themselves as queries, each node keeping the
+centroids within d2 + 2r (and within the Eq. 9 bound) of its pivot.
 
 Exactness notes (mirroring the paper's reasoning):
 
@@ -27,21 +44,16 @@ Exactness notes (mirroring the paper's reasoning):
   that every covered point is closest to centroid a(N) regardless of how
   a(N) was obtained, so batch-assigned subtrees simply inherit the
   parent's cluster id (and label resync happens inside the batch step).
-* The kNN upper bound handed to a child is d2(parent) + parent.radius
-  (Alg. 1 line 30 / Eq. 7); a tiny epsilon inflation guards the strict
-  comparisons against ties at exactly the bound.
-* Leaf fallback: after the leaf pivot's 2-NN (d1, d2) is known, every
-  centroid that can be nearest to *some* leaf point lies within
-  d1 + 2 * leaf.radius of the pivot (triangle inequality), so one range
-  query over the centroid index yields an exact candidate set and the
-  leaf is finished with one vectorized argmin. This is the vectorization
-  of Alg. 1's per-point kNN(1) loop: identical result, identical pruning
-  semantics, counted at the same distance-computation cost.
+* Every bound is inflated by a tiny epsilon before it is compared: a list
+  filter keeps, and Eq. 4/5/6 prune, only what rounding cannot turn into
+  a tie at exactly the bound.
+* Exact ties go to the lowest centroid id, as in Lloyd's ``argmin``: lists
+  stay in ascending id order and every argmin takes the first minimum.
 
 Ablations (Section VI-B): ``use_knn=False`` -> **NokNN** (inter bound kept,
-but all nearest-centroid searches are linear scans over the k centroids);
-``use_inter_bound=False`` -> **NoInB** (optimized kNN kept, Eq. 4/5/9
-checks dropped).
+but every list keeps all k centroids: the same walk with the candidate
+filter off, and no centroid index); ``use_inter_bound=False`` -> **NoInB**
+(candidate lists kept, Eq. 4/5/9 checks dropped).
 """
 from __future__ import annotations
 
@@ -57,21 +69,95 @@ from repro.estimator import memory
 
 _EPS = 1e-9
 
+#: Most floats one vectorized distance block holds (a block of gathered
+#: difference vectors, or a block of points against their candidates),
+#: and most list entries one batch of a frontier holds. This bounds the
+#: walks' working memory whatever n, k and d are.
+_BLOCK_FLOATS = 1 << 16
 
-def _inflate(ub: float) -> float:
-    """Guard strict comparisons against exact ties at the bound."""
-    return ub * (1.0 + 1e-12) + _EPS if np.isfinite(ub) else ub
+
+def _inflate(ub):
+    """Guard comparisons against exact ties at the bound."""
+    return ub * (1.0 + 1e-12) + _EPS
 
 
-def _knn2_linear(C: np.ndarray, q: np.ndarray) -> tuple[int, int, float, float, int]:
-    """Two nearest centroids by full scan (the NokNN path)."""
-    dd = np.sqrt(((C - q) ** 2).sum(axis=1))
-    if len(C) == 1:
-        return 0, 0, float(dd[0]), np.inf, len(C)
-    i1, i2 = np.argpartition(dd, 1)[:2]
-    if dd[i2] < dd[i1]:
-        i1, i2 = i2, i1
-    return int(i1), int(i2), float(dd[i1]), float(dd[i2]), len(C)
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, e) for s, e in zip(starts, ends)])``."""
+    lens = ends - starts
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
+def _pair_dist(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``||A[ia[i]] - B[ib[i]]||`` for every i, gathered block by block."""
+    out = np.empty(len(ia))
+    step = max(1, _BLOCK_FLOATS // A.shape[1])
+    for s in range(0, len(ia), step):
+        diff = A[ia[s : s + step]] - B[ib[s : s + step]]
+        out[s : s + step] = np.sqrt((diff * diff).sum(axis=1))
+    return out
+
+
+@dataclass
+class _Lists:
+    """Candidate lists of a set of nodes, flat (CSR): ``nodes[i]`` keeps
+    centroid ids ``ids[ptr[i]:ptr[i + 1]]``, in ascending order."""
+
+    nodes: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def root(cls, k: int) -> "_Lists":
+        return cls(np.zeros(1, dtype=np.int64), np.array([0, k]), np.arange(k))
+
+    @property
+    def lens(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Position in ``nodes`` of every entry of ``ids``."""
+        return np.repeat(np.arange(len(self.nodes)), self.lens)
+
+    def take(self, ix: np.ndarray, nodes: np.ndarray | None = None) -> "_Lists":
+        """The lists at positions ``ix`` (repeats allowed), handed to
+        ``nodes`` when given."""
+        return _Lists(
+            self.nodes[ix] if nodes is None else nodes,
+            np.concatenate([[0], np.cumsum(self.lens[ix])]),
+            self.ids[_ranges(self.ptr[ix], self.ptr[ix + 1])],
+        )
+
+    def keep(self, mask: np.ndarray) -> "_Lists":
+        """The same nodes with only the entries where ``mask`` holds."""
+        cnt = np.bincount(self.owner[mask], minlength=len(self.nodes))
+        return _Lists(self.nodes, np.concatenate([[0], np.cumsum(cnt)]), self.ids[mask])
+
+    def children(self, tree: BallTree) -> "_Lists":
+        """Both children of every (internal) node, each inheriting its
+        parent's list."""
+        kids = np.column_stack([tree.left[self.nodes], tree.right[self.nodes]]).ravel()
+        return self.take(np.repeat(np.arange(len(self.nodes)), 2), kids)
+
+    def split(self, cap: int) -> list["_Lists"]:
+        """Runs of consecutive nodes holding at most ``cap`` entries each
+        (one node may hold more); none for no nodes."""
+        m = len(self.nodes)
+        if len(self.ids) <= cap or m == 1:
+            return [self] if m else []
+        return self.take(np.arange(m // 2)).split(cap) + self.take(np.arange(m // 2, m)).split(cap)
+
+    def nearest2(self, tree: BallTree, C: np.ndarray):
+        """Pivot-to-candidate distances ``D`` (one per entry) and, per node,
+        the smallest ``d1``, the lowest id ``n1`` at ``d1`` and the second
+        smallest ``d2`` (inf for a one-entry list). Lists are never empty."""
+        D = _pair_dist(tree.pivot, self.nodes[self.owner], C, self.ids)
+        starts = self.ptr[:-1]
+        d1 = np.minimum.reduceat(D, starts)
+        at = np.arange(len(D))
+        first = np.minimum.reduceat(np.where(D == d1[self.owner], at, len(D)), starts)
+        rest = np.where(at == first[self.owner], np.inf, D)
+        return D, d1, self.ids[first], np.minimum.reduceat(rest, starts)
 
 
 def compute_cb(
@@ -79,37 +165,78 @@ def compute_cb(
     ctree: BallTree | None,
     cb_prev: np.ndarray | None,
     drift: np.ndarray | None,
-    *,
-    use_knn: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Inter bounds cb[j] = distance to each centroid's nearest other
-    centroid (Eq. 3), accelerated by 2-NN with the Eq. 9 upper bound.
+    centroid (Eq. 3), and the number of distances computed.
 
-    ``cb_prev``/``drift`` are None on the first iteration (ub = inf).
+    Walks the centroid index with the centroids as queries: a node keeps
+    the centroids within ``d2 + 2r`` of its pivot, where ``d2`` is the
+    second-smallest pivot distance over its list, and, from the second
+    iteration (``cb_prev``/``drift`` given), within the Eq. 9 bound
+    ``cb_prev[j] + drift[j] + max(drift)`` of its members plus ``r``.
+    Each centroid then scans its leaf's list. ``ctree=None`` (NokNN)
+    scans all k centroids for every centroid.
     """
     k = len(C)
-    cb = np.zeros(k)
-    n_dist = 0
-    max_drift = float(drift.max()) if drift is not None and k else 0.0
-    for j in range(k):
-        ub = np.inf if cb_prev is None else cb_prev[j] + drift[j] + max_drift
-        if use_knn:
-            idxs, dists, nd = bt.knn(ctree, C[j], 2, _inflate(ub))
-            n_dist += nd
-            if idxs[1] < 0:  # tie at the bound — exact fallback
-                _, _, _, d2, nd = _knn2_linear(C, C[j])
-                n_dist += nd
-                cb[j] = d2
-            else:
-                # idxs[0] is c_j itself (distance 0); idxs[1] the nearest
-                # *other* centroid unless centroids coincide, in which case
-                # cb[j] = 0 is still exact.
-                cb[j] = dists[1] if idxs[0] == j else dists[0]
-        else:
-            _, _, d1_, d2_, nd = _knn2_linear(C, C[j])
-            n_dist += nd
-            cb[j] = d2_ if d1_ == 0.0 else d1_
+    everyone = np.arange(k)
+    cb = np.empty(k)
+    if ctree is None:
+        n_dist = _scan_cb(C, _Lists.root(k), np.zeros(k, dtype=np.int64), everyone, cb)
+    else:
+        n_dist = _walk_cb(C, ctree, cb_prev, drift, cb)
+    # Tie at the bound (or k = 1): no other centroid in the list; scan all.
+    for j in np.flatnonzero(np.isinf(cb)):
+        D = _pair_dist(C, np.full(k, j), C, everyone)
+        n_dist += k
+        D[j] = np.inf
+        cb[j] = D.min()
     return cb, n_dist
+
+
+def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
+    """The centroid-index walk of :func:`compute_cb`; fills ``cb``."""
+    node_ub = None
+    if cb_prev is not None:
+        ub = cb_prev + drift + drift.max()
+        # Max of ub over each node's members: reduceat over interleaved
+        # (start, end) pairs; a sentinel keeps the root's end in range.
+        bounds = np.column_stack([ctree.start, ctree.end]).ravel()
+        node_ub = np.maximum.reduceat(np.append(ub[ctree.idx], 0.0), bounds)[::2]
+    n_dist = 0
+    stack = [_Lists.root(len(C))]
+    while stack:
+        level = stack.pop()
+        D, _, _, d2 = level.nearest2(ctree, C)
+        n_dist += len(D)
+        r = ctree.radius[level.nodes]
+        bound = d2 + 2.0 * r
+        if node_ub is not None:
+            bound = np.minimum(bound, node_ub[level.nodes] + r)
+        level = level.keep(D <= _inflate(bound)[level.owner])
+        leaf = ctree.left[level.nodes] == -1
+        leaves = level.take(np.flatnonzero(leaf))
+        queries = ctree.idx[_ranges(ctree.start[leaves.nodes], ctree.end[leaves.nodes])]
+        own = np.repeat(np.arange(len(leaves.nodes)), ctree.count[leaves.nodes])
+        n_dist += _scan_cb(C, leaves, own, queries, cb)
+        stack += level.take(np.flatnonzero(~leaf)).children(ctree).split(_BLOCK_FLOATS)
+    return n_dist
+
+
+def _scan_cb(C, lists: _Lists, own, queries, cb) -> int:
+    """Set ``cb[queries[i]]`` to the distance from that centroid to the
+    nearest *other* centroid in list ``own[i]``, block by block; returns
+    the number of distances computed."""
+    n_dist = 0
+    step = max(1, _BLOCK_FLOATS // len(C))
+    for s in range(0, len(queries), step):
+        ql = lists.take(own[s : s + step], queries[s : s + step])
+        q = ql.nodes[ql.owner]
+        D = _pair_dist(C, q, C, ql.ids)
+        n_dist += len(D)
+        # A coincident centroid of another id gives cb = 0, which is exact.
+        D[q == ql.ids] = np.inf
+        cb[ql.nodes] = np.minimum.reduceat(D, ql.ptr[:-1])
+    return n_dist
 
 
 @dataclass
@@ -126,134 +253,141 @@ class AssignStats:
 def assign_pass(
     tree: BallTree,
     C: np.ndarray,
-    ctree: BallTree | None,
     cb: np.ndarray | None,
     labels: np.ndarray,
     *,
     use_knn: bool = True,
     use_inter_bound: bool = True,
 ) -> AssignStats:
-    """One full Assign traversal (Alg. 1 lines 15-40).
+    """One full Assign traversal (Alg. 1 lines 15-40) as a walk over the
+    point tree, one depth at a time.
 
     Mutates ``tree.cluster`` (the per-node a(N) state) and ``labels`` (the
     per-point a(i) state) in place — these are the cross-iteration state
     that each Spark partition keeps alongside its tree.
     """
+    k, d = C.shape
+    stats = AssignStats(np.zeros((k, d)), np.zeros(k, dtype=np.int64), False, 0, 0)
+    batch_nodes, batch_ids = [], []
+    # Runs of one depth's frontier, depth-first, so the lists held at once
+    # stay within O(tree height * _BLOCK_FLOATS) entries.
+    stack = [_Lists.root(k)]
+    while stack:
+        level = stack.pop()
+        # Eq. 5: the whole node provably belongs to cluster a(N). Valid
+        # even for a stale a(N); the batch step also resyncs any point
+        # labels that drifted away in earlier iterations.
+        if use_inter_bound:
+            nodes = level.nodes
+            aN = tree.cluster[nodes]
+            has = np.flatnonzero(aN != NO_CLUSTER)
+            dprev = _pair_dist(tree.pivot, nodes[has], C, aN[has])
+            stats.n_dist += len(has)
+            hit = has[_inflate(dprev + tree.radius[nodes[has]]) < cb[aN[has]] / 2.0]
+            batch_nodes.append(nodes[hit])
+            batch_ids.append(aN[hit])
+            level = level.take(np.setdiff1d(np.arange(len(nodes)), hit))
+
+        nodes = level.nodes
+        r = tree.radius[nodes]
+        D, d1, n1, d2 = level.nearest2(tree, C)
+        stats.n_dist += len(D)
+        # Only centroids within d1 + 2r of the pivot can be nearest to a
+        # point of the node. Eq. 6: n1 is the only one -> batch-assign.
+        reach = _inflate(d1 + 2.0 * r)
+        gap = d2 > reach
+        batch_nodes.append(nodes[gap])
+        batch_ids.append(n1[gap])
+        # Eq. 7-8: the node's (and its children's) list keeps just those.
+        if use_knn:
+            level = level.keep(D <= reach[level.owner])
+        leaf = ~gap & (tree.left[nodes] == -1)
+        leaves = level.take(np.flatnonzero(leaf))
+        _assign_leaves(tree, C, cb, labels, leaves, use_inter_bound, stats)
+        # A leaf holds mixed clusters; remember its pivot's nearest centroid
+        # as a(N) — Eq. 5 stays exact for *any* recorded id, and this choice
+        # maximizes the chance of a batch prune next round.
+        tree.cluster[nodes[leaf]] = n1[leaf]
+        stack += level.take(np.flatnonzero(~gap & ~leaf)).children(tree).split(_BLOCK_FLOATS)
+
+    _assign_batches(tree, labels, np.concatenate(batch_nodes), np.concatenate(batch_ids), stats)
+    return stats
+
+
+def _assign_batches(tree, labels, nodes, ids, stats: AssignStats) -> None:
+    """Assign whole subtrees: node ``nodes[i]`` and its points to ``ids[i]``."""
+    count = tree.count[nodes]
+    rows = tree.idx[_ranges(tree.start[nodes], tree.end[nodes])]
+    new = np.repeat(ids, count)
+    stats.changed |= bool((labels[rows] != new).any())
+    labels[rows] = new
+    size = tree.subtree_end[nodes] - nodes
+    tree.cluster[_ranges(nodes, tree.subtree_end[nodes])] = np.repeat(ids, size)
+    np.add.at(stats.sv, ids, tree.node_sum[nodes])
+    np.add.at(stats.cnt, ids, count)
+    stats.pruned_vectors += int(count.sum())
+
+
+def _assign_leaves(tree, C, cb, labels, leaves: _Lists, use_inter_bound, stats) -> None:
+    """Per-point assignment of the leaves the walk reached, in blocks of
+    points: Eq. 4 keeps a point's previous cluster, the other points take
+    the lowest-id nearest centroid of their leaf's list. ``n_dist`` counts
+    each such point's list entries (Alg. 1's per-point search), not the
+    masked columns of the block matmul."""
     X = tree.X
     k, d = C.shape
-    sv = np.zeros((k, d))
-    cnt = np.zeros(k, dtype=np.int64)
-    n_dist = 0
-    pruned_vectors = 0
-    changed = False
-
-    def batch_assign(node: int, j: int):
-        nonlocal changed
-        rows = tree.points(node)
-        if (labels[rows] != j).any():
-            changed = True
-            labels[rows] = j
-        tree.cluster[node : tree.subtree_end[node]] = j
-        sv[j] += tree.node_sum[node]
-        cnt[j] += tree.count[node]
-
-    stack: list[tuple[int, float]] = [(0, np.inf)]
-    while stack:
-        node, ub = stack.pop()
-        aN = int(tree.cluster[node])
-        r = float(tree.radius[node])
-        pv = tree.pivot[node]
-
-        # Eq. 5: the whole node provably belongs to cluster a(N). Valid
-        # even for a stale a(N); batch_assign also resyncs any point
-        # labels that drifted away during deeper recursions.
-        if use_inter_bound and aN != NO_CLUSTER:
-            dist_prev = float(np.sqrt(((pv - C[aN]) ** 2).sum()))
-            n_dist += 1
-            if dist_prev + r < cb[aN] / 2.0:
-                pruned_vectors += int(tree.count[node])
-                batch_assign(node, aN)
-                continue
-
-        # Two nearest centroids of the pivot (kNN with inherited bound).
-        if use_knn:
-            idxs, dists, nd = bt.knn(ctree, pv, 2, _inflate(ub))
-            n_dist += nd
-            if idxs[1] >= 0:
-                n1, n2 = int(idxs[0]), int(idxs[1])
-                d1, d2 = float(dists[0]), float(dists[1])
-            else:
-                n1, n2, d1, d2, nd = _knn2_linear(C, pv)
-                n_dist += nd
-        else:
-            n1, n2, d1, d2, nd = _knn2_linear(C, pv)
-            n_dist += nd
-
-        # Eq. 6: gap large enough -> batch-assign the node to n1.
-        if d2 - d1 > 2.0 * r:
-            pruned_vectors += int(tree.count[node])
-            batch_assign(node, n1)
-            continue
-
-        if not tree.is_leaf(node):
-            child_ub = _inflate(d2 + r)
-            stack.append((int(tree.right[node]), child_ub))
-            stack.append((int(tree.left[node]), child_ub))
-            continue
-
-        # ---- leaf: per-point assignment (vectorized, exact) --------------
-        rows = tree.points(node)
-        pts = X[rows]
-        prev = labels[rows]
-        todo = np.ones(len(rows), dtype=bool)
-
+    rows = tree.idx[_ranges(tree.start[leaves.nodes], tree.end[leaves.nodes])]
+    own = np.repeat(np.arange(len(leaves.nodes)), tree.count[leaves.nodes])
+    step = max(1, _BLOCK_FLOATS // (k + d))
+    for s in range(0, len(rows), step):
+        rs, os_ = rows[s : s + step], own[s : s + step]
+        pts, prev = X[rs], labels[rs]
+        best = prev.copy()
+        todo = np.ones(len(rs), dtype=bool)
         if use_inter_bound:
-            has_prev = prev != NO_CLUSTER
-            if has_prev.any():
-                sel = np.flatnonzero(has_prev)
-                dprev = np.sqrt(((pts[sel] - C[prev[sel]]) ** 2).sum(axis=1))
-                n_dist += len(sel)
-                keep = dprev < cb[prev[sel]] / 2.0
-                kept = sel[keep]
-                if len(kept):
-                    pruned_vectors += len(kept)
-                    np.add.at(sv, prev[kept], pts[kept])
-                    np.add.at(cnt, prev[kept], 1)
-                    todo[kept] = False
-
+            has = np.flatnonzero(prev != NO_CLUSTER)
+            dprev = _pair_dist(pts, has, C, prev[has])
+            stats.n_dist += len(has)
+            kept = has[_inflate(dprev) < cb[prev[has]] / 2.0]
+            stats.pruned_vectors += len(kept)
+            todo[kept] = False
         rest = np.flatnonzero(todo)
         if len(rest):
-            # Exact candidate set: centroids within d1 + 2r of the pivot.
-            if use_knn:
-                cand, _, nd = bt.range_query(ctree, pv, _inflate(d1 + 2.0 * r))
-                n_dist += nd
-                if len(cand) == 0:  # numeric corner — full scan
-                    cand = np.arange(k)
-            else:
-                cand = np.arange(k)
-            sub = pts[rest]
-            d2mat = (
-                (sub * sub).sum(axis=1)[:, None]
-                + (C[cand] * C[cand]).sum(axis=1)[None, :]
-                - 2.0 * sub @ C[cand].T
-            )
-            n_dist += len(rest) * len(cand)
-            best = cand[np.argmin(d2mat, axis=1)]
-            if (prev[rest] != best).any():
-                changed = True
-            labels[rows[rest]] = best
-            np.add.at(sv, best, sub)
-            np.add.at(cnt, best, 1)
-        # The leaf now holds mixed clusters; remember its pivot's nearest
-        # centroid as a(N) — Eq. 5 stays exact for *any* recorded id, and
-        # this choice maximizes the chance of a batch prune next round.
-        tree.cluster[node] = n1
+            best[rest] = _argmin_lists(pts[rest], os_[rest], leaves, C)
+            stats.n_dist += int(leaves.lens[os_[rest]].sum())
+        stats.changed |= bool((best != prev).any())
+        labels[rs] = best
+        np.add.at(stats.sv, best, pts)
+        stats.cnt += np.bincount(best, minlength=k)
 
-    return AssignStats(sv, cnt, changed, n_dist, pruned_vectors)
+
+def _argmin_lists(P: np.ndarray, own: np.ndarray, lists: _Lists, C: np.ndarray) -> np.ndarray:
+    """Lowest-id nearest centroid of each point ``P[i]`` among the list of
+    node ``own[i]`` (``own`` ascending). One matmul over the union of the
+    lists involved (the expansion ||x||^2 + ||c||^2 - 2 x.c, as in Lloyd);
+    entries outside a point's own list are masked out."""
+    lo, hi = own[0], own[-1] + 1
+    a, b = lists.ptr[lo], lists.ptr[hi]
+    U, col = np.unique(lists.ids[a:b], return_inverse=True)
+    member = np.zeros((hi - lo, len(U)), dtype=bool)
+    member[np.repeat(np.arange(hi - lo), lists.lens[lo:hi]), col] = True
+    CU = C[U]
+    d2 = (P * P).sum(axis=1)[:, None] + (CU * CU).sum(axis=1)[None, :] - 2.0 * P @ CU.T
+    d2[~member[own - lo]] = np.inf
+    return U[np.argmin(d2, axis=1)]
+
+
+def check_points(X: np.ndarray) -> np.ndarray:
+    """The input contract of every local fit: a finite 2-D array of points.
+    Returns it as a contiguous float64 array (a copy only if needed)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise ValueError(f"X must be a finite 2-D array, got shape {X.shape}")
+    return X
 
 
 def check_centroids(init_centroids: np.ndarray, d: int, k: int | None = None) -> np.ndarray:
-    """The input contract of both fits: a finite (k >= 1, d) array of
+    """The input contract of every fit: a finite (k >= 1, d) array of
     initial centroids (of exactly ``k`` rows when given). Returns a
     float64 copy, which the fit then owns."""
     C = np.array(init_centroids, dtype=np.float64)
@@ -294,7 +428,7 @@ def iterate(
     """Alg. 1's driver loop, shared by the local and the Spark fit.
 
     Each iteration rebuilds the centroid index, computes the inter bounds,
-    runs ``assign(C, ctree, cb) -> AssignStats`` over every point, refines
+    runs ``assign(C, cb) -> AssignStats`` over every point, refines
     the centroids from the summed per-cluster vectors and records their
     drift for the next Eq. 9 bound. It stops after an iteration in which
     no label changed.
@@ -310,9 +444,9 @@ def iterate(
         if use_knn:
             ctree = bt.build(C, f)
         if use_inter_bound:
-            cb, nd = compute_cb(C, ctree, cb, drift, use_knn=use_knn)
+            cb, nd = compute_cb(C, ctree, cb, drift)
             n_dist += nd
-        stats = assign(C, ctree, cb)
+        stats = assign(C, cb)
         n_dist += stats.n_dist
         pruned_vectors += stats.pruned_vectors
 
@@ -349,9 +483,7 @@ def fit(
     index (built once per dataset); its build time then does not count
     towards ``init_time``.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or not np.isfinite(X).all():
-        raise ValueError(f"X must be a finite 2-D array, got shape {X.shape}")
+    X = check_points(X)
     n, d = X.shape
     C = check_centroids(init_centroids, d)
 
@@ -369,9 +501,9 @@ def fit(
 
     labels = np.full(n, NO_CLUSTER, dtype=np.int64)
 
-    def assign(C, ctree, cb):
+    def assign(C, cb):
         return assign_pass(
-            tree, C, ctree, cb, labels,
+            tree, C, cb, labels,
             use_knn=use_knn, use_inter_bound=use_inter_bound,
         )
 

@@ -13,7 +13,7 @@ operator:
 * **per iteration** — the driver runs the local algorithm's own loop,
   ``daskmeans.iterate`` (centroid index, inter bounds, refinement, drift,
   convergence). Only its ``assign`` hook is distributed: it broadcasts
-  (C, ctree, cb), each partition runs the *same* ``daskmeans.assign_pass``
+  (C, cb), each partition runs the *same* ``daskmeans.assign_pass``
   over its own tree and returns its ``AssignStats`` (per-cluster sums and
   counts, counters), and the driver sums them.
 
@@ -43,7 +43,7 @@ class SparkKMeansResult(daskmeans.LoopResult):
 
 def _build_state(part, f: int):
     for ids, X in part:
-        tree = bt.build(X, f)
+        tree = bt.build(daskmeans.check_points(X), f)
         labels = np.full(len(ids), NO_CLUSTER, dtype=np.int64)
         yield ids, tree, labels
 
@@ -84,13 +84,13 @@ def fit(
 
     # Per-iteration broadcasts are referenced by the cached state RDD's
     # pickled closure, so they cannot be destroyed until the final state
-    # has been collected — they are tiny (k x d floats + the centroid
-    # index), so we keep them and destroy all at the end.
+    # has been collected — they are tiny (k x d floats + k inter
+    # bounds), so we keep them and destroy all at the end.
     broadcasts = []
 
-    def assign(C, ctree, cb):
+    def assign(C, cb):
         nonlocal cached, state
-        bc = sc.broadcast((C, ctree, cb))
+        bc = sc.broadcast((C, cb))
         broadcasts.append(bc)
 
         def step(s):

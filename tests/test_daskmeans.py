@@ -1,11 +1,15 @@
 """Dask-means-specific behaviour: counters, pruning, memory knob, reuse."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import datasets
 from repro.core import balltree as bt
 from repro.core import daskmeans, init as cinit
 from repro.baselines import lloyd
+from repro.core.result import refine_centroids
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +138,120 @@ def test_compute_cb_with_drift_bound_exact():
     np.fill_diagonal(dd, np.inf)
     np.testing.assert_allclose(cb, dd.min(1), rtol=1e-9)
 
+
+
+def _lowest_id_argmin(X, C):
+    """Brute-force nearest centroid; exact ties go to the lowest id."""
+    return np.argmin(((X[:, None, :] - C[None, :, :]) ** 2).sum(-1), axis=1)
+
+
+def _nearest_other(C):
+    dd = np.sqrt(((C[:, None, :] - C[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(dd, np.inf)
+    return dd.min(1)
+
+
+# Coordinates on a 1/8 grid keep every distance exact in both the direct
+# and the ||x||^2 + ||c||^2 - 2 x.c form, so ties are exact ties.
+_grid = st.integers(-24, 24).map(lambda v: v / 8.0)
+
+
+@st.composite
+def _assign_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(1, 12))
+    X = np.array(draw(st.lists(_grid, min_size=n * d, max_size=n * d))).reshape(n, d)
+    C = np.array(draw(st.lists(_grid, min_size=k * d, max_size=k * d))).reshape(k, d)
+    if draw(st.booleans()):  # duplicate points
+        X = np.repeat(X[: max(1, n // 3)], 3, axis=0)[:n]
+    if k > 1 and draw(st.booleans()):  # coincident centroids
+        C[k // 2 :] = C[: k - k // 2]
+    step = st.sampled_from([-0.25, 0.0, 0.5])
+    moves = np.array(draw(st.lists(step, min_size=k * d, max_size=k * d)))
+    return X, C, C + moves.reshape(k, d), draw(st.integers(1, 8)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_assign_case(), st.sampled_from(["Dask-means", "NokNN", "NoInB"]))
+def test_assign_pass_is_lowest_id_argmin(case, variant):
+    """Two passes (the second with moved centroids and stale a(N)/a(i)
+    state) label every point exactly as a brute-force argmin, and the
+    sums and counts match those labels. Covers k >= n, n < f, d = 1,
+    duplicates and float32 input."""
+    X, C1, C2, f, as_float32 = case
+    use_knn, use_inb = variant != "NokNN", variant != "NoInB"
+    tree = bt.build(X.astype(np.float32) if as_float32 else X, f)
+    labels = np.full(len(X), -1, dtype=np.int64)
+    cb = None
+    for C in (C1, C2):
+        ctree = bt.build(C, f) if use_knn else None
+        if use_inb:
+            cb, _ = daskmeans.compute_cb(C, ctree, None, None)
+        stats = daskmeans.assign_pass(
+            tree, C, cb, labels, use_knn=use_knn, use_inter_bound=use_inb
+        )
+        want = _lowest_id_argmin(X, C)
+        assert (labels == want).all()
+        assert (stats.cnt == np.bincount(want, minlength=len(C))).all()
+        sums = np.zeros_like(C)
+        np.add.at(sums, want, X)
+        np.testing.assert_allclose(stats.sv, sums, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_assign_case())
+def test_compute_cb_is_nearest_other(case):
+    """Inter bounds equal the brute-force nearest-other distance, coincident
+    centroids included, on the centroid index and by full scan (NokNN);
+    the second call takes the Eq. 9 bound from the first."""
+    _, C1, C2, f, _ = case
+    drift = np.sqrt(((C2 - C1) ** 2).sum(1))
+    for ctree1, ctree2 in ((bt.build(C1, f), bt.build(C2, f)), (None, None)):
+        cb1, _ = daskmeans.compute_cb(C1, ctree1, None, None)
+        np.testing.assert_array_equal(cb1, _nearest_other(C1))
+        cb2, _ = daskmeans.compute_cb(C2, ctree2, cb1, drift)
+        np.testing.assert_array_equal(cb2, _nearest_other(C2))
+
+
+def test_compute_cb_second_iteration_of_a_fit():
+    """Eq. 9 with real drift: the inter bounds of iteration 2 of a fit."""
+    X = datasets.make("argo_pc", 3000, seed=4)
+    C1 = cinit.random_init(X, 64, seed=5)
+    C1[40:48] = C1[:8]  # coincident centroids: cb = 0
+    cb1, _ = daskmeans.compute_cb(C1, bt.build(C1, 8), None, None)
+    np.testing.assert_allclose(cb1, _nearest_other(C1), rtol=1e-12)
+    assert (cb1[:8] == 0).all() and (cb1[40:48] == 0).all()
+    C2 = refine_centroids(X, lloyd.assign_labels(X, C1), C1)
+    drift = np.sqrt(((C2 - C1) ** 2).sum(1))
+    assert drift.max() > 0
+    cb2, _ = daskmeans.compute_cb(C2, bt.build(C2, 8), cb1, drift)
+    np.testing.assert_allclose(cb2, _nearest_other(C2), rtol=1e-12)
+
+
+def test_fit_memory_stays_blocked():
+    """Peak traced memory of a high-d, large-k fit stays bounded: distance
+    blocks never grow with n * k * d."""
+    X = datasets.make("apoll_td", 4000, seed=0)
+    C0 = cinit.random_init(X, 256, seed=1)
+    tracemalloc.start()
+    try:
+        daskmeans.fit(X, C0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("fit", [daskmeans.fit, daskmeans.fit_nok_nn, daskmeans.fit_no_inb])
+def test_block_size_changes_neither_result_nor_counters(monkeypatch, fit):
+    """Tiny blocks split every frontier, distance gather and leaf step into
+    many pieces; labels, centroids and counters stay the same."""
+    X = datasets.make("argo_pc", 1000, seed=2)
+    C0 = cinit.random_init(X, 24, seed=3)
+    whole = fit(X, C0, 6)
+    monkeypatch.setattr(daskmeans, "_BLOCK_FLOATS", 200)
+    pieces = fit(X, C0, 6)
+    assert (pieces.labels == whole.labels).all()
+    np.testing.assert_allclose(pieces.centroids, whole.centroids, atol=1e-10)
+    assert (pieces.n_dist, pieces.pruned_vectors) == (whole.n_dist, whole.pruned_vectors)

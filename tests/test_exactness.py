@@ -116,3 +116,16 @@ def test_sse_never_above_lloyd(refs, algo):
     X, C0, ref = refs("tdrive", 2000, 8, seed=0)
     r = ALGORITHMS[algo](X, C0, 8)
     assert abs(r.sse(X) - ref.sse(X)) / ref.sse(X) < 1e-9
+
+
+@pytest.mark.parametrize("algo", ACCELERATED)
+def test_duplicated_init_centroids(algo):
+    """Exact ties when k > f: centroids 20..39 repeat 0..19, so every point
+    is equally near two ids and must go to the lower one, as in Lloyd."""
+    X = datasets.make("tdrive", 2000, seed=0)
+    C0 = cinit.random_init(X, 40, seed=1)
+    C0[20:] = C0[:20]
+    ref = lloyd.fit(X, C0, 8)
+    r = ALGORITHMS[algo](X, C0, 8)
+    assert (r.labels == ref.labels).all()
+    np.testing.assert_allclose(r.centroids, ref.centroids, atol=1e-8)

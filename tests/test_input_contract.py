@@ -1,8 +1,10 @@
-"""The Dask-means input contract: bad inputs raise ValueError up front."""
+"""The input contract of every algorithm: bad inputs raise ValueError up front."""
 import numpy as np
 import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro import datasets
+from repro.algorithms import ALGORITHMS
 from repro.core import balltree as bt
 from repro.core import daskmeans, init as cinit
 from repro.spark import data as sdata, daskmeans_spark
@@ -44,6 +46,24 @@ def test_init_of_wrong_shape_rejected(data, shape):
         daskmeans.fit(X, np.zeros(shape), 3)
 
 
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "Dask-means"])
+@pytest.mark.parametrize("case", ["nan_x", "1d_x", "inf_init", "init_of_other_d"])
+def test_every_algorithm_shares_the_contract(data, algo, case):
+    X, C0 = data
+    if case == "nan_x":
+        X = X.copy()
+        X[17, 1] = np.nan
+    elif case == "1d_x":
+        X = X[:, 0]
+    elif case == "inf_init":
+        C0 = C0.copy()
+        C0[3, 0] = np.inf
+    else:
+        C0 = np.zeros((8, 3))
+    with pytest.raises(ValueError, match="finite|2-D|init_centroids"):
+        ALGORITHMS[algo](X, C0, 3)
+
+
 def test_prebuilt_tree_with_other_f_rejected(data):
     X, C0 = data
     tree = bt.build(X, 16)
@@ -65,3 +85,14 @@ def test_spark_init_of_wrong_shape_rejected(spark, data, shape):
     df = sdata.to_spark(spark, X, n_partitions=2)
     with pytest.raises(ValueError, match="init_centroids"):
         daskmeans_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=np.zeros(shape))
+
+
+def test_spark_non_finite_row_rejected(spark, data):
+    """Executors check their partition; the ValueError reaches the driver
+    inside the Java error of the failed job."""
+    X, C0 = data
+    X = X.copy()
+    X[42, 0] = np.nan
+    df = sdata.to_spark(spark, X, n_partitions=2)
+    with pytest.raises(Py4JJavaError, match="ValueError: X must be a finite"):
+        daskmeans_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
