@@ -7,8 +7,6 @@ Dual-tree, b=k/4 for Drake, G=k/10 for Yinyang).
 """
 from __future__ import annotations
 
-from functools import partial
-
 from repro.baselines import dualtree, drake, elkan, hamerly, lloyd, nobound, yinyang
 from repro.core import daskmeans
 
@@ -26,17 +24,4 @@ ALGORITHMS = {
 }
 
 #: Table IV column order.
-TABLE4_ORDER = [
-    "Lloyd", "NoBound", "Dual-tree", "Hamerly", "Drake",
-    "Yinyang", "Elkan", "NoInB", "NokNN", "Dask-means",
-]
-
-
-def with_f(name: str, f: int):
-    """Dask-means family entry with a specific leaf capacity."""
-    base = {
-        "Dask-means": daskmeans.fit,
-        "NoInB": daskmeans.fit_no_inb,
-        "NokNN": daskmeans.fit_nok_nn,
-    }[name]
-    return partial(base, f=f)
+TABLE4_ORDER = list(ALGORITHMS)

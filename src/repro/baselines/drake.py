@@ -8,12 +8,11 @@ N/A at k = 1e4. Exact drop-in for Lloyd from the same init.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.daskmeans import check_centroids, check_points
-from repro.core.result import KMeansResult, refine_centroids
+from repro.core.result import (
+    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+)
 
 
 def n_bounds(k: int) -> int:
@@ -23,9 +22,7 @@ def n_bounds(k: int) -> int:
 
 def _full_sort(X, C, b):
     """Exact assignment + candidate cache from a full distance matrix."""
-    d = np.sqrt(
-        np.maximum((X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * X @ C.T, 0)
-    )
+    d = dist(X, C)
     if len(C) == 1:  # no other centroids to cache
         n = len(X)
         return (
@@ -49,87 +46,71 @@ def _full_sort(X, C, b):
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
     X = check_points(X)
     n, d = X.shape
-    C = check_centroids(init_centroids, d)
-    k = len(C)
+    C0 = check_centroids(init_centroids, d)
+    k = len(C0)
     b = n_bounds(k)
-    n_dist = 0
-    iter_times: list[float] = []
     labels = np.full(n, -1, dtype=np.int64)
     u = np.zeros(n)
     cand = np.zeros((n, b), dtype=np.int64)
     cand_lb = np.zeros((n, b))
     rest_lb = np.zeros(n)
 
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
+    def assign(C, drift):
+        nonlocal u, cand, cand_lb, rest_lb
         old_labels = labels.copy()
-
-        if it == 1:
-            labels, u, cand, cand_lb, rest_lb = _full_sort(X, C, b)
-            n_dist += n * k
-        else:
-            # Points whose upper bound undercuts every cached lower bound
-            # (and the out-of-cache bound) provably keep their label. The
-            # cache is not kept sorted across drift updates, so take the min.
-            guard = np.minimum(cand_lb.min(axis=1), rest_lb)
-            suspect = np.flatnonzero(u > guard)
-            if len(suspect):
-                du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
-                n_dist += len(suspect)
-                u[suspect] = du
-                still = suspect[du > guard[suspect]]
-                # Inside-cache resolution: exact distances to the b cached
-                # candidates; valid while u <= rest_lb.
-                incache = still[u[still] <= rest_lb[still]]
-                if len(incache):
-                    pc = C[cand[incache]]                    # (m, b, d)
-                    dc = np.sqrt(
-                        ((X[incache, None, :] - pc) ** 2).sum(2)
-                    )
-                    n_dist += len(incache) * b
-                    cand_lb[incache] = dc
-                    jbest = np.argmin(dc, axis=1)
-                    dbest = dc[np.arange(len(incache)), jbest]
-                    win = dbest < u[incache]
-                    rowsw = incache[win]
-                    # Swap: the winning cached centroid becomes the label and
-                    # the dethroned label takes its cache slot (with its
-                    # exact distance as the bound). This keeps the invariant
-                    # that every centroid is bounded by u, the cache, or
-                    # rest_lb — dropping the old label silently loses it.
-                    old_lab = labels[rowsw]
-                    old_u = u[rowsw]
-                    labels[rowsw] = cand[rowsw, jbest[win]]
-                    u[rowsw] = dbest[win]
-                    cand[rowsw, jbest[win]] = old_lab
-                    cand_lb[rowsw, jbest[win]] = old_u
-                # Out-of-cache: full recompute + resort for the rest.
-                full = still[u[still] > rest_lb[still]]
-                if len(full):
-                    la, uu, cc_, cl, rl = _full_sort(X[full], C, b)
-                    n_dist += len(full) * k
-                    labels[full] = la
-                    u[full] = uu
-                    cand[full] = cc_
-                    cand_lb[full] = cl
-                    rest_lb[full] = rl
-
-        new_C = refine_centroids(X, labels, C)
-        drift = np.sqrt(((new_C - C) ** 2).sum(1))
-        n_dist += k
-        C = new_C
+        if drift is None:
+            labels[:], u, cand, cand_lb, rest_lb = _full_sort(X, C, b)
+            return AssignStats.of(X, labels, old_labels, k, n * k)
         u += drift[labels]
         cand_lb = np.maximum(cand_lb - drift[cand], 0.0)
         rest_lb = np.maximum(rest_lb - drift.max(), 0.0)
-        iter_times.append(time.perf_counter() - t_iter)
-        if (labels == old_labels).all():
-            converged = True
-            break
 
-    return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, n_dist=n_dist,
-        memory_floats=2 * n * b + 2 * n,
-    )
+        n_dist = 0
+        # Points whose upper bound undercuts every cached lower bound
+        # (and the out-of-cache bound) provably keep their label. The
+        # cache is not kept sorted across drift updates, so take the min.
+        guard = np.minimum(cand_lb.min(axis=1), rest_lb)
+        suspect = np.flatnonzero(u > guard)
+        if len(suspect):
+            du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
+            n_dist += len(suspect)
+            u[suspect] = du
+            still = suspect[du > guard[suspect]]
+            # Inside-cache resolution: exact distances to the b cached
+            # candidates; valid while u <= rest_lb.
+            incache = still[u[still] <= rest_lb[still]]
+            if len(incache):
+                pc = C[cand[incache]]                    # (m, b, d)
+                dc = np.sqrt(
+                    ((X[incache, None, :] - pc) ** 2).sum(2)
+                )
+                n_dist += len(incache) * b
+                cand_lb[incache] = dc
+                jbest = np.argmin(dc, axis=1)
+                dbest = dc[np.arange(len(incache)), jbest]
+                win = dbest < u[incache]
+                rowsw = incache[win]
+                # Swap: the winning cached centroid becomes the label and
+                # the dethroned label takes its cache slot (with its
+                # exact distance as the bound). This keeps the invariant
+                # that every centroid is bounded by u, the cache, or
+                # rest_lb — dropping the old label silently loses it.
+                old_lab = labels[rowsw]
+                old_u = u[rowsw]
+                labels[rowsw] = cand[rowsw, jbest[win]]
+                u[rowsw] = dbest[win]
+                cand[rowsw, jbest[win]] = old_lab
+                cand_lb[rowsw, jbest[win]] = old_u
+            # Out-of-cache: full recompute + resort for the rest.
+            full = still[u[still] > rest_lb[still]]
+            if len(full):
+                la, uu, cc_, cl, rl = _full_sort(X[full], C, b)
+                n_dist += len(full) * k
+                labels[full] = la
+                u[full] = uu
+                cand[full] = cc_
+                cand_lb[full] = cl
+                rest_lb[full] = rl
+        return AssignStats.of(X, labels, old_labels, k, n_dist)
+
+    return iterate(C0, assign, max_iter).result(labels, memory_floats=2 * n * b + 2 * n)

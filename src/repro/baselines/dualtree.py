@@ -22,10 +22,10 @@ import time
 
 import numpy as np
 
+from repro.baselines.lloyd import assign_labels
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER
-from repro.core.daskmeans import check_centroids, check_points
-from repro.core.result import KMeansResult, refine_from_sums
+from repro.core.result import AssignStats, KMeansResult, check_centroids, check_points, iterate
 from repro.estimator.memory import measured_floats
 
 
@@ -38,8 +38,8 @@ def fit(
 ) -> KMeansResult:
     X = check_points(X)
     n, d = X.shape
-    C = check_centroids(init_centroids, d)
-    k = len(C)
+    C0 = check_centroids(init_centroids, d)
+    k = len(C0)
 
     t0 = time.perf_counter()
     tree = bt.build(X, f)
@@ -56,33 +56,28 @@ def fit(
     set_cum_max = np.zeros(m)
     cum_drift = np.zeros(k)
     cum_max = 0.0
-
     labels = np.full(n, NO_CLUSTER, dtype=np.int64)
-    n_dist = 0
-    pruned_vectors = 0
-    iter_times: list[float] = []
-    converged = False
-    it = 0
 
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
-        changed = False
-        sv = np.zeros((k, d))
-        cnt = np.zeros(k, dtype=np.int64)
+    def assign(C, drift):
+        nonlocal cum_drift, cum_max
+        if drift is not None:
+            cum_drift += drift
+            cum_max += float(drift.max())
+        stats = AssignStats(np.zeros((k, d)), np.zeros(k, dtype=np.int64), False, 0, 0)
 
         def batch_assign(node: int, j: int):
-            nonlocal changed
             rows = tree.points(node)
             if (labels[rows] != j).any():
-                changed = True
+                stats.changed = True
                 labels[rows] = j
             tree.cluster[node : tree.subtree_end[node]] = j
             # Descendants now carry cluster j but their cached bounds were
             # set under an older assignment — invalidate them (not the node
             # itself, whose own records stay consistent with its cluster).
             ub_set[node + 1 : tree.subtree_end[node]] = np.inf
-            sv[j] += tree.node_sum[node]
-            cnt[j] += tree.count[node]
+            stats.sv[j] += tree.node_sum[node]
+            stats.cnt[j] += tree.count[node]
+            stats.pruned_vectors += int(tree.count[node])
 
         stack = [0]
         while stack:
@@ -96,12 +91,11 @@ def fit(
                 lb = lb_set[node] - (cum_max - set_cum_max[node])
                 if ub < lb:
                     # Whole subtree provably keeps its cluster: zero dists.
-                    pruned_vectors += int(tree.count[node])
                     batch_assign(node, aN)
                     continue
 
             dd = np.sqrt(((C - pv) ** 2).sum(1))
-            n_dist += k
+            stats.n_dist += k
             if k >= 2:
                 i1, i2 = np.argpartition(dd, 1)[:2]
                 if dd[i2] < dd[i1]:
@@ -111,7 +105,6 @@ def fit(
                 i1, d1, d2 = 0, float(dd[0]), np.inf
 
             if d2 - d1 > 2.0 * r:
-                pruned_vectors += int(tree.count[node])
                 batch_assign(node, int(i1))
                 ub_set[node] = d1 + r
                 lb_set[node] = d2 - r
@@ -126,36 +119,18 @@ def fit(
 
             rows = tree.points(node)
             pts = X[rows]
-            dm = (
-                (pts * pts).sum(1)[:, None]
-                + (C * C).sum(1)[None, :]
-                - 2.0 * pts @ C.T
-            )
-            n_dist += len(rows) * k
-            best = np.argmin(dm, axis=1)
+            best = assign_labels(pts, C)
+            stats.n_dist += len(rows) * k
             if (labels[rows] != best).any():
-                changed = True
+                stats.changed = True
             labels[rows] = best
-            np.add.at(sv, best, pts)
-            np.add.at(cnt, best, 1)
+            np.add.at(stats.sv, best, pts)
+            np.add.at(stats.cnt, best, 1)
             tree.cluster[node] = NO_CLUSTER
             ub_set[node] = np.inf  # invalidate node bounds for mixed leaf
+        return stats
 
-        new_C = refine_from_sums(C, sv, cnt)
-        drift = np.sqrt(((new_C - C) ** 2).sum(1))
-        n_dist += k
-        C = new_C
-        cum_drift += drift
-        cum_max += float(drift.max())
-        iter_times.append(time.perf_counter() - t_iter)
-        if not changed:
-            converged = True
-            break
-
-    return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, init_time=init_time, n_dist=n_dist,
-        pruned_vectors=pruned_vectors,
-        memory_floats=measured_floats(tree) + 4 * m + n,
-        extra={"f": f},
+    return iterate(C0, assign, max_iter).result(
+        labels, init_time=init_time,
+        memory_floats=measured_floats(tree) + 4 * m + n, extra={"f": f},
     )

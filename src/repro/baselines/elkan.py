@@ -11,52 +11,36 @@ this is an exact drop-in from the same init.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.daskmeans import check_centroids, check_points
-from repro.core.result import KMeansResult, refine_centroids
-
-
-def pairwise(C: np.ndarray) -> np.ndarray:
-    """Exact k x k Euclidean distance matrix between centroids."""
-    g = C @ C.T
-    sq = np.diag(g)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * g, 0.0)
-    return np.sqrt(d2)
+from repro.core.result import (
+    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+)
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
     X = check_points(X)
     n, d = X.shape
-    C = check_centroids(init_centroids, d)
-    k = len(C)
-    n_dist = 0
-    iter_times: list[float] = []
+    C0 = check_centroids(init_centroids, d)
+    k = len(C0)
     labels = np.full(n, -1, dtype=np.int64)
     u = np.zeros(n)
     low = np.zeros((n, k))
 
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
+    def assign(C, drift):
+        nonlocal u, low
         old_labels = labels.copy()
-
-        if it == 1:
-            dists = np.sqrt(
-                np.maximum(
-                    (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * X @ C.T,
-                    0,
-                )
-            )
+        n_dist = 0
+        if drift is None:
+            dists = dist(X, C)
             n_dist += n * k
-            labels = np.argmin(dists, axis=1)
+            labels[:] = np.argmin(dists, axis=1)
             u = dists[np.arange(n), labels]
             low = dists
         else:
-            cc = pairwise(C)
+            low = np.maximum(low - drift[None, :], 0.0)
+            u += drift[labels]
+            cc = dist(C, C)
             n_dist += k * k
             np.fill_diagonal(cc, np.inf)
             s = 0.5 * cc.min(axis=1)
@@ -97,20 +81,6 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                     rb = rows[better]
                     labels[rb] = j
                     u[rb] = dj[better]
+        return AssignStats.of(X, labels, old_labels, k, n_dist)
 
-        new_C = refine_centroids(X, labels, C)
-        drift = np.sqrt(((new_C - C) ** 2).sum(1))
-        n_dist += k
-        C = new_C
-        low = np.maximum(low - drift[None, :], 0.0)
-        u += drift[labels]
-        iter_times.append(time.perf_counter() - t_iter)
-        if (labels == old_labels).all():
-            converged = True
-            break
-
-    return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, n_dist=n_dist,
-        memory_floats=n * k + 2 * n + k * k,
-    )
+    return iterate(C0, assign, max_iter).result(labels, memory_floats=n * k + 2 * n + k * k)

@@ -11,8 +11,7 @@ import time
 
 import numpy as np
 
-from repro.core.daskmeans import check_centroids, check_points
-from repro.core.result import KMeansResult, refine_centroids
+from repro.core.result import KMeansResult, check_centroids, check_points, refine_centroids
 
 _BLOCK_FLOATS = 8_000_000  # ~64 MB of n x k distance matrix per block
 

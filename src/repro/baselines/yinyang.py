@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 from repro.core import init as cinit
-from repro.core.daskmeans import check_centroids, check_points
-from repro.core.result import KMeansResult, refine_centroids
+from repro.core.result import (
+    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+)
 
 
 def n_groups(k: int) -> int:
@@ -33,107 +34,80 @@ def _group_centroids(C: np.ndarray, G: int, seed: int = 0) -> np.ndarray:
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
     X = check_points(X)
     n, d = X.shape
-    C = check_centroids(init_centroids, d)
-    k = len(C)
+    C0 = check_centroids(init_centroids, d)
+    k = len(C0)
     G = n_groups(k)
 
     t0 = time.perf_counter()
-    group = _group_centroids(C, G)
+    group = _group_centroids(C0, G)
     members = [np.flatnonzero(group == g) for g in range(G)]
     init_time = time.perf_counter() - t0
 
-    n_dist = 0
-    iter_times: list[float] = []
     labels = np.full(n, -1, dtype=np.int64)
     u = np.zeros(n)
     lg = np.zeros((n, G))
 
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
+    def assign(C, drift):
+        nonlocal u, lg
         old_labels = labels.copy()
-
-        if it == 1:
-            dists = np.sqrt(
-                np.maximum(
-                    (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * X @ C.T,
-                    0,
-                )
-            )
-            n_dist += n * k
-            labels = np.argmin(dists, axis=1)
+        if drift is None:
+            dists = dist(X, C)
+            labels[:] = np.argmin(dists, axis=1)
             u = dists[np.arange(n), labels]
             dists[np.arange(n), labels] = np.inf  # exclude assigned centroid
             for g in range(G):
                 lg[:, g] = (
                     dists[:, members[g]].min(axis=1) if len(members[g]) else np.inf
                 )
-        else:
-            suspect = np.flatnonzero(u > lg.min(axis=1))
-            if len(suspect):
-                du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
-                n_dist += len(suspect)
-                u[suspect] = du
-                still = suspect[du > lg[suspect].min(axis=1)]
-                for g in range(G):
-                    if not len(members[g]):
-                        continue
-                    rows = still[lg[still, g] < u[still]]
-                    if not len(rows):
-                        continue
-                    Cg = C[members[g]]
-                    dm = np.sqrt(
-                        np.maximum(
-                            (X[rows] * X[rows]).sum(1)[:, None]
-                            + (Cg * Cg).sum(1)[None, :]
-                            - 2 * X[rows] @ Cg.T,
-                            0,
-                        )
-                    )
-                    n_dist += len(rows) * len(members[g])
-                    jloc = np.argmin(dm, axis=1)
-                    dbest = dm[np.arange(len(rows)), jloc]
-                    win = dbest < u[rows]
-                    rw = rows[win]
-                    if len(rw):
-                        old_lab = labels[rw]
-                        old_u = u[rw]
-                        labels[rw] = members[g][jloc[win]]
-                        u[rw] = dbest[win]
-                        # The dethroned centroid becomes a candidate again:
-                        # its exact distance (old u) tightens — but must not
-                        # raise — its group's lower bound.
-                        np.minimum.at(lg, (rw, group[old_lab]), old_u)
-                        # New bound for the scanned group: second-best there.
-                        if dm.shape[1] > 1:
-                            dm_win = dm[win]
-                            dm_win[np.arange(len(rw)), jloc[win]] = np.inf
-                            lg[rw, g] = dm_win.min(axis=1)
-                        else:
-                            lg[rw, g] = np.inf
-                    lose = rows[~win]
-                    if len(lose):
-                        # Min over the group is a valid lower bound whether or
-                        # not the assigned centroid belongs to it.
-                        lg[lose, g] = dbest[~win]
-
-        new_C = refine_centroids(X, labels, C)
-        drift = np.sqrt(((new_C - C) ** 2).sum(1))
-        n_dist += k
-        C = new_C
+            return AssignStats.of(X, labels, old_labels, k, n * k)
         gd = np.array(
             [drift[members[g]].max() if len(members[g]) else 0.0 for g in range(G)]
         )
         u += drift[labels]
         lg = np.maximum(lg - gd[None, :], 0.0)
-        iter_times.append(time.perf_counter() - t_iter)
-        if (labels == old_labels).all():
-            converged = True
-            break
 
-    return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, init_time=init_time, n_dist=n_dist,
-        memory_floats=n * G + 2 * n + k,
+        n_dist = 0
+        suspect = np.flatnonzero(u > lg.min(axis=1))
+        if len(suspect):
+            du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
+            n_dist += len(suspect)
+            u[suspect] = du
+            still = suspect[du > lg[suspect].min(axis=1)]
+            for g in range(G):
+                if not len(members[g]):
+                    continue
+                rows = still[lg[still, g] < u[still]]
+                if not len(rows):
+                    continue
+                dm = dist(X[rows], C[members[g]])
+                n_dist += len(rows) * len(members[g])
+                jloc = np.argmin(dm, axis=1)
+                dbest = dm[np.arange(len(rows)), jloc]
+                win = dbest < u[rows]
+                rw = rows[win]
+                if len(rw):
+                    old_lab = labels[rw]
+                    old_u = u[rw]
+                    labels[rw] = members[g][jloc[win]]
+                    u[rw] = dbest[win]
+                    # The dethroned centroid becomes a candidate again:
+                    # its exact distance (old u) tightens — but must not
+                    # raise — its group's lower bound.
+                    np.minimum.at(lg, (rw, group[old_lab]), old_u)
+                    # New bound for the scanned group: second-best there.
+                    if dm.shape[1] > 1:
+                        dm_win = dm[win]
+                        dm_win[np.arange(len(rw)), jloc[win]] = np.inf
+                        lg[rw, g] = dm_win.min(axis=1)
+                    else:
+                        lg[rw, g] = np.inf
+                lose = rows[~win]
+                if len(lose):
+                    # Min over the group is a valid lower bound whether or
+                    # not the assigned centroid belongs to it.
+                    lg[lose, g] = dbest[~win]
+        return AssignStats.of(X, labels, old_labels, k, n_dist)
+
+    return iterate(C0, assign, max_iter).result(
+        labels, init_time=init_time, memory_floats=n * G + 2 * n + k
     )

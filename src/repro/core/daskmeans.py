@@ -14,13 +14,14 @@ Structure per iteration:
    proves it (Eq. 4) and take an argmin over their candidates otherwise;
 4. refine centroids from the per-cluster sum vectors and compute drifts.
 
-Steps 1, 2 and 4 are the driver loop :func:`iterate`, written once for
-the local :func:`fit` and the Spark per-partition operator
-(``repro.spark.daskmeans_spark``). Step 3 is its ``assign`` hook,
-``assign(C, cb) -> AssignStats``: locally one :func:`assign_pass` over
-the single point tree; on Spark a broadcast of (C, cb), an
-``assign_pass`` over each partition's persistent Ball-tree and the sum
-of the partitions' stats.
+Step 4 is ``repro.core.result.iterate``, the loop every accelerated
+algorithm shares. Steps 1-3 are its ``assign(C, drift)`` hook,
+:class:`Hook`, written once for the local :func:`fit` and the Spark
+per-partition operator (``repro.spark.daskmeans_spark``); only step 3's
+``assign_points(C, cb) -> AssignStats`` differs: locally one
+:func:`assign_pass` over the single point tree; on Spark a broadcast of
+(C, cb), an ``assign_pass`` over each partition's persistent Ball-tree
+and the sum of the partitions' stats.
 
 **The walk** (both indexes). Alg. 1 recurses node by node and runs a kNN
 search over the centroid index at each node (Eq. 7-8). Here a tree is
@@ -58,13 +59,16 @@ filter off, and no centroid index); ``use_inter_bound=False`` -> **NoInB**
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER, BallTree
-from repro.core.result import KMeansResult, refine_from_sums
+from repro.core.result import (
+    AssignStats, KMeansResult, check_centroids, check_points, iterate,
+)
 from repro.estimator import memory
 
 _EPS = 1e-9
@@ -239,17 +243,6 @@ def _scan_cb(C, lists: _Lists, own, queries, cb) -> int:
     return n_dist
 
 
-@dataclass
-class AssignStats:
-    """Outcome of one assignment pass over one spatial-vector index."""
-
-    sv: np.ndarray          # (k, d) per-cluster sum vectors
-    cnt: np.ndarray         # (k,) per-cluster counts
-    changed: bool           # any label changed in this pass
-    n_dist: int
-    pruned_vectors: int     # vectors assigned in batch / kept via Eq. 4-5
-
-
 def assign_pass(
     tree: BallTree,
     C: np.ndarray,
@@ -377,93 +370,29 @@ def _argmin_lists(P: np.ndarray, own: np.ndarray, lists: _Lists, C: np.ndarray) 
     return U[np.argmin(d2, axis=1)]
 
 
-def check_points(X: np.ndarray) -> np.ndarray:
-    """The input contract of every local fit: a finite 2-D array of points.
-    Returns it as a contiguous float64 array (a copy only if needed)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or not np.isfinite(X).all():
-        raise ValueError(f"X must be a finite 2-D array, got shape {X.shape}")
-    return X
-
-
-def check_centroids(init_centroids: np.ndarray, d: int, k: int | None = None) -> np.ndarray:
-    """The input contract of every fit: a finite (k >= 1, d) array of
-    initial centroids (of exactly ``k`` rows when given). Returns a
-    float64 copy, which the fit then owns."""
-    C = np.array(init_centroids, dtype=np.float64)
-    if C.ndim != 2 or len(C) < 1 or C.shape[1] != d or (k is not None and len(C) != k):
-        raise ValueError(
-            f"init_centroids must be a ({k or 'k >= 1'}, {d}) array, got shape {C.shape}"
-        )
-    if not np.isfinite(C).all():
-        raise ValueError("init_centroids must be finite")
-    return C
-
-
 @dataclass
-class LoopResult:
-    """Outcome of :func:`iterate`; the labels stay with ``assign``'s state."""
+class Hook:
+    """The loop's ``assign(C, drift)`` hook of Dask-means (steps 1-3),
+    shared by the local and the Spark fit: rebuild the centroid index,
+    compute the inter bounds, then ``assign_points(C, cb) -> AssignStats``
+    over every point. Keeps the last centroid index and inter bounds."""
 
-    centroids: np.ndarray          # final (refined) centroids
-    labels_centroids: np.ndarray   # centroids the final assignment used —
-    # labels are the argmin w.r.t. *these* (assignment precedes the last
-    # refinement), which is what oracle validation must check against
-    ctree: BallTree | None         # the last centroid index
-    n_iter: int
-    converged: bool
-    iter_times: list[float]
-    n_dist: int
-    pruned_vectors: int
+    assign_points: Callable[[np.ndarray, np.ndarray | None], AssignStats]
+    f: int
+    use_knn: bool = True
+    use_inter_bound: bool = True
+    ctree: BallTree | None = field(default=None, init=False)
+    cb: np.ndarray | None = field(default=None, init=False)
 
-
-def iterate(
-    C: np.ndarray,
-    assign,
-    max_iter: int,
-    *,
-    f: int,
-    use_knn: bool = True,
-    use_inter_bound: bool = True,
-) -> LoopResult:
-    """Alg. 1's driver loop, shared by the local and the Spark fit.
-
-    Each iteration rebuilds the centroid index, computes the inter bounds,
-    runs ``assign(C, cb) -> AssignStats`` over every point, refines
-    the centroids from the summed per-cluster vectors and records their
-    drift for the next Eq. 9 bound. It stops after an iteration in which
-    no label changed.
-    """
-    k = len(C)
-    n_dist = pruned_vectors = it = 0
-    iter_times: list[float] = []
-    cb = drift = ctree = None
-    labels_C = C
-    converged = False
-    for it in range(1, max_iter + 1):
-        t_iter = time.perf_counter()
-        if use_knn:
-            ctree = bt.build(C, f)
-        if use_inter_bound:
-            cb, nd = compute_cb(C, ctree, cb, drift)
-            n_dist += nd
-        stats = assign(C, cb)
-        n_dist += stats.n_dist
-        pruned_vectors += stats.pruned_vectors
-
-        labels_C = C
-        C = refine_from_sums(labels_C, stats.sv, stats.cnt)
-        drift = np.sqrt(((C - labels_C) ** 2).sum(axis=1))
-        n_dist += k
-        iter_times.append(time.perf_counter() - t_iter)
-        if not stats.changed:
-            converged = True
-            break
-
-    return LoopResult(
-        centroids=C, labels_centroids=labels_C, ctree=ctree, n_iter=it,
-        converged=converged, iter_times=iter_times, n_dist=n_dist,
-        pruned_vectors=pruned_vectors,
-    )
+    def __call__(self, C: np.ndarray, drift: np.ndarray | None) -> AssignStats:
+        if self.use_knn:
+            self.ctree = bt.build(C, self.f)
+        n_dist = 0
+        if self.use_inter_bound:
+            self.cb, n_dist = compute_cb(C, self.ctree, self.cb, drift)
+        stats = self.assign_points(C, self.cb)
+        stats.n_dist += n_dist
+        return stats
 
 
 def fit(
@@ -501,20 +430,15 @@ def fit(
 
     labels = np.full(n, NO_CLUSTER, dtype=np.int64)
 
-    def assign(C, cb):
+    def assign_points(C, cb):
         return assign_pass(
-            tree, C, cb, labels,
-            use_knn=use_knn, use_inter_bound=use_inter_bound,
+            tree, C, cb, labels, use_knn=use_knn, use_inter_bound=use_inter_bound
         )
 
-    loop = iterate(
-        C, assign, max_iter, f=f, use_knn=use_knn, use_inter_bound=use_inter_bound
-    )
-    return KMeansResult(
-        centroids=loop.centroids, labels=labels, n_iter=loop.n_iter,
-        converged=loop.converged, iter_times=loop.iter_times, init_time=init_time,
-        n_dist=loop.n_dist, pruned_vectors=loop.pruned_vectors,
-        memory_floats=memory.measured_total_floats(tree, loop.ctree, n),
+    hook = Hook(assign_points, f, use_knn, use_inter_bound)
+    return iterate(C, hook, max_iter).result(
+        labels, init_time=init_time,
+        memory_floats=memory.measured_total_floats(tree, hook.ctree, n),
         extra={"f": f, "tree_height": tree.height, "tree_leaves": tree.n_leaves},
     )
 

@@ -1,10 +1,12 @@
-"""Common result type + conventions shared by every k-means implementation.
+"""Common result type, input contract and iteration loop of every k-means
+implementation.
 
 All algorithms in the comparison are exact accelerations of Lloyd's
 algorithm, so they share one contract:
 
 * ``fit(X, init_centroids, max_iter)`` — k is implied by the init array,
-  which every algorithm receives *identically* (see ``repro.core.init``).
+  which every algorithm receives *identically* (see ``repro.core.init``);
+  :func:`check_points` and :func:`check_centroids` reject bad inputs;
 * an iteration = assignment + refinement; convergence = no label changed
   during the iteration (then centroids cannot move either);
 * empty clusters keep their previous centroid;
@@ -14,9 +16,18 @@ algorithm, so they share one contract:
   EXPERIMENTS.md next to wall-clock, because the paper's C++ scalar
   baseline and our NumPy/BLAS baselines have very different constant
   factors.
+
+They differ only in how they assign points, so the nine accelerated
+algorithms (Dask-means and its two ablations, locally and on Spark,
+Elkan, Hamerly, Drake, Yinyang, NoBound, Dual-tree) run one loop,
+:func:`iterate`, and each is an ``assign(C, drift) -> AssignStats`` hook
+over its own state. Lloyd keeps its own plain loop
+(``repro.baselines.lloyd``): it is the reference the exactness tests
+compare every other algorithm against.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +57,44 @@ class KMeansResult:
         return float(((X - self.centroids[self.labels]) ** 2).sum())
 
 
+def check_points(X: np.ndarray) -> np.ndarray:
+    """The input contract of every local fit: a finite 2-D array of points.
+    Returns it as a contiguous float64 array (a copy only if needed)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or not np.isfinite(X).all():
+        raise ValueError(f"X must be a finite 2-D array, got shape {X.shape}")
+    return X
+
+
+def check_centroids(init_centroids: np.ndarray, d: int, k: int | None = None) -> np.ndarray:
+    """The input contract of every fit: a finite (k >= 1, d) array of
+    initial centroids (of exactly ``k`` rows when given). Returns a
+    float64 copy, which the fit then owns."""
+    C = np.array(init_centroids, dtype=np.float64)
+    if C.ndim != 2 or len(C) < 1 or C.shape[1] != d or (k is not None and len(C) != k):
+        raise ValueError(
+            f"init_centroids must be a ({k or 'k >= 1'}, {d}) array, got shape {C.shape}"
+        )
+    if not np.isfinite(C).all():
+        raise ValueError("init_centroids must be finite")
+    return C
+
+
+def dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(len(X), len(C)) Euclidean distances by the BLAS expansion
+    ||x||^2 + ||c||^2 - 2 x.c, clipped at 0 against rounding."""
+    d2 = (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * X @ C.T
+    return np.sqrt(np.maximum(d2, 0))
+
+
+def cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster sum vectors and counts of a labelling."""
+    cnt = np.bincount(labels, minlength=k).astype(np.float64)
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, labels, X)
+    return sums, cnt
+
+
 def refine_from_sums(old: np.ndarray, sv: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     """Mean of each cluster from its sum vector ``sv`` and count ``cnt``;
     empty clusters keep their previous centroid."""
@@ -59,8 +108,81 @@ def refine_centroids(
     X: np.ndarray, labels: np.ndarray, old: np.ndarray
 ) -> np.ndarray:
     """Mean of each cluster; empty clusters keep their previous centroid."""
-    k, d = old.shape
-    cnt = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.zeros((k, d))
-    np.add.at(sums, labels, X)
-    return refine_from_sums(old, sums, cnt)
+    return refine_from_sums(old, *cluster_sums(X, labels, len(old)))
+
+
+@dataclass
+class AssignStats:
+    """Outcome of one assignment pass (over all points, or one share)."""
+
+    sv: np.ndarray          # (k, d) per-cluster sum vectors
+    cnt: np.ndarray         # (k,) per-cluster counts
+    changed: bool           # any label changed in this pass
+    n_dist: int
+    pruned_vectors: int     # vectors assigned in batch / kept via Eq. 4-5
+
+    @classmethod
+    def of(cls, X, labels, prev, k: int, n_dist: int) -> "AssignStats":
+        """Stats of a pass that moved ``prev`` to ``labels`` over ``X``."""
+        return cls(*cluster_sums(X, labels, k), bool((labels != prev).any()), n_dist, 0)
+
+
+@dataclass
+class LoopResult:
+    """Outcome of :func:`iterate`; the labels stay with ``assign``'s state."""
+
+    centroids: np.ndarray          # final (refined) centroids
+    labels_centroids: np.ndarray   # centroids the final assignment used —
+    # labels are the argmin w.r.t. *these* (assignment precedes the last
+    # refinement), which is what oracle validation must check against
+    n_iter: int
+    converged: bool
+    iter_times: list[float]
+    n_dist: int
+    pruned_vectors: int
+
+    def result(self, labels: np.ndarray, **kw) -> KMeansResult:
+        """The local fit's result: this outcome plus ``labels`` and the
+        fit's own fields (``memory_floats``, ``init_time``, ``extra``)."""
+        return KMeansResult(
+            centroids=self.centroids, labels=labels, n_iter=self.n_iter,
+            converged=self.converged, iter_times=self.iter_times, n_dist=self.n_dist,
+            pruned_vectors=self.pruned_vectors, **kw,
+        )
+
+
+def iterate(C: np.ndarray, assign, max_iter: int) -> LoopResult:
+    """The driver loop of every accelerated algorithm.
+
+    Each iteration runs ``assign(C, drift) -> AssignStats`` over every
+    point, refines the centroids from the summed per-cluster vectors and
+    records how far each centroid moved (one distance per centroid);
+    ``drift`` is ``None`` in the first iteration and the previous
+    refinement's moves after that. It stops after an iteration in which
+    no label changed.
+    """
+    k = len(C)
+    n_dist = pruned_vectors = it = 0
+    iter_times: list[float] = []
+    drift = None
+    labels_C = C
+    converged = False
+    for it in range(1, max_iter + 1):
+        t_iter = time.perf_counter()
+        stats = assign(C, drift)
+        n_dist += stats.n_dist
+        pruned_vectors += stats.pruned_vectors
+
+        labels_C = C
+        C = refine_from_sums(labels_C, stats.sv, stats.cnt)
+        drift = np.sqrt(((C - labels_C) ** 2).sum(axis=1))
+        n_dist += k
+        iter_times.append(time.perf_counter() - t_iter)
+        if not stats.changed:
+            converged = True
+            break
+
+    return LoopResult(
+        centroids=C, labels_centroids=labels_C, n_iter=it, converged=converged,
+        iter_times=iter_times, n_dist=n_dist, pruned_vectors=pruned_vectors,
+    )

@@ -10,12 +10,14 @@ operator:
   replaced each iteration (PySpark caches pickled partitions, so in-task
   mutation would be lost — instead every iteration maps the old state to
   (new state, partial aggregates) and persists the new RDD).
-* **per iteration** — the driver runs the local algorithm's own loop,
-  ``daskmeans.iterate`` (centroid index, inter bounds, refinement, drift,
-  convergence). Only its ``assign`` hook is distributed: it broadcasts
-  (C, cb), each partition runs the *same* ``daskmeans.assign_pass``
-  over its own tree and returns its ``AssignStats`` (per-cluster sums and
-  counts, counters), and the driver sums them.
+* **per iteration** — the driver runs the loop every accelerated
+  algorithm shares, ``result.iterate`` (refinement, drift, convergence),
+  with the local fit's own hook, ``daskmeans.Hook`` (centroid index,
+  inter bounds). Only the hook's point assignment is distributed: it
+  broadcasts (C, cb), each partition runs the *same*
+  ``daskmeans.assign_pass`` over its own tree and returns its
+  ``AssignStats`` (per-cluster sums and counts, counters), and the driver
+  sums them.
 
 Because every partition applies the exact algorithm to its share of the
 points and refinement uses global sums, the result equals the local
@@ -31,11 +33,12 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import balltree as bt
 from repro.core import daskmeans
 from repro.core.balltree import NO_CLUSTER
+from repro.core.result import AssignStats, LoopResult, check_centroids, check_points, iterate
 from repro.spark import data as sdata
 
 
 @dataclass
-class SparkKMeansResult(daskmeans.LoopResult):
+class SparkKMeansResult(LoopResult):
     """The shared loop's outcome plus the final labels as a DataFrame."""
 
     labels_df: DataFrame           # [id, cluster]
@@ -43,7 +46,7 @@ class SparkKMeansResult(daskmeans.LoopResult):
 
 def _build_state(part, f: int):
     for ids, X in part:
-        tree = bt.build(daskmeans.check_points(X), f)
+        tree = bt.build(check_points(X), f)
         labels = np.full(len(ids), NO_CLUSTER, dtype=np.int64)
         yield ids, tree, labels
 
@@ -66,7 +69,7 @@ def fit(
     points are sampled with ``seed``.
     """
     if init_centroids is not None:
-        C = daskmeans.check_centroids(init_centroids, d, k)
+        C = check_centroids(init_centroids, d, k)
     sc = spark.sparkContext
     arrays = sdata.partition_arrays(df, d)
     cached = arrays.mapPartitions(lambda p: _build_state(p, f)).persist()
@@ -88,7 +91,7 @@ def fit(
     # bounds), so we keep them and destroy all at the end.
     broadcasts = []
 
-    def assign(C, cb):
+    def assign_points(C, cb):
         nonlocal cached, state
         bc = sc.broadcast((C, cb))
         broadcasts.append(bc)
@@ -106,13 +109,13 @@ def fit(
         cached.unpersist()
         cached = new_full
         state = new_full.map(lambda t: t[0])
-        return daskmeans.AssignStats(
+        return AssignStats(
             sum(p.sv for p in partials), sum(p.cnt for p in partials),
             any(p.changed for p in partials), sum(p.n_dist for p in partials),
             sum(p.pruned_vectors for p in partials),
         )
 
-    loop = daskmeans.iterate(C, assign, max_iter, f=f)
+    loop = iterate(C, daskmeans.Hook(assign_points, f), max_iter)
 
     # Final labels back into the DataFrame world — collected to the driver
     # first so labels_df carries no lineage into the (unpersisted) state.

@@ -17,6 +17,7 @@ import pyspark.sql.functions as Fn
 import pyspark.sql.types as T
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.result import check_centroids
 from repro.spark import data as sdata
 
 
@@ -60,10 +61,10 @@ def fit(
 ) -> SparkLloydResult:
     """Distributed Lloyd over a [id, x0..x{d-1}] DataFrame."""
     cols = sdata.dim_cols(d)
-    df = df.persist()
     if init_centroids is not None:
-        C = np.array(init_centroids, dtype=np.float64, copy=True)
-    else:
+        C = check_centroids(init_centroids, d, k)
+    df = df.persist()
+    if init_centroids is None:
         sample = df.rdd.takeSample(False, k, seed)
         sample.sort(key=lambda r: r["id"])
         C = np.array([[r[c] for c in cols] for r in sample])

@@ -81,6 +81,30 @@ def test_nobound_uses_kk_matrix(setup):
     assert r.memory_floats >= len(C0) ** 2
 
 
+#: (n_dist, pruned_vectors, n_iter, memory_floats) on tdrive n=2000 (seed 0),
+#: k=32 (init seed 1), 8 iterations. The Dask-means family is left out: its
+#: counters move with performance work on its walk.
+PINNED_COUNTERS = {
+    "Lloyd": (512000, 0, 8, 2000),
+    "NoBound": (120541, 0, 8, 5024),
+    "Dual-tree": (389824, 9908, 8, 19345),
+    "Hamerly": (224097, 0, 8, 7024),
+    "Drake": (149980, 0, 8, 36000),
+    "Yinyang": (199437, 0, 8, 10032),
+    "Elkan": (79881, 0, 8, 69024),
+}
+
+
+def test_baseline_counters_pinned():
+    X = datasets.make("tdrive", 2000, seed=0)
+    C0 = cinit.random_init(X, 32, seed=1)
+    got = {}
+    for algo in PINNED_COUNTERS:
+        r = ALGORITHMS[algo](X, C0, 8)
+        got[algo] = (r.n_dist, r.pruned_vectors, r.n_iter, r.memory_floats)
+    assert got == PINNED_COUNTERS
+
+
 def test_refine_centroids_empty_cluster():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     labels = np.array([0, 0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import datasets
+from repro.algorithms import ALGORITHMS
 from repro.core import balltree as bt
 from repro.core import daskmeans, init as cinit
 from repro.baselines import lloyd
@@ -84,12 +85,15 @@ def test_tree_reuse_resets_state(setup):
     assert (rb.labels == refb.labels).all()
 
 
-def test_iter_times_recorded(setup):
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "Lloyd"])
+def test_iter_times_recorded(setup, algo):
+    """Every accelerated algorithm times its iterations in the shared loop."""
     X, C0, _ = setup
-    r = daskmeans.fit(X, C0, 8)
+    r = ALGORITHMS[algo](X, C0, 8)
     assert len(r.iter_times) == r.n_iter
     assert all(t > 0 for t in r.iter_times)
-    assert r.init_time > 0
+    if algo == "Dask-means":
+        assert r.init_time > 0  # the point-index build
 
 
 def test_memory_floats_reported(setup):

@@ -7,7 +7,7 @@ from repro import datasets
 from repro.algorithms import ALGORITHMS
 from repro.core import balltree as bt
 from repro.core import daskmeans, init as cinit
-from repro.spark import data as sdata, daskmeans_spark
+from repro.spark import data as sdata, daskmeans_spark, lloyd_spark
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +78,29 @@ def test_prebuilt_tree_over_other_points_rejected(data):
         daskmeans.fit(X, C0, 3, f=30, tree=tree)
 
 
+SPARK_FITS = pytest.mark.parametrize(
+    "spark_fit", [daskmeans_spark.fit, lloyd_spark.fit], ids=["daskmeans_spark", "lloyd_spark"]
+)
+
+
+@SPARK_FITS
 @pytest.mark.parametrize("shape", [(6, 2), (8, 3)])
-def test_spark_init_of_wrong_shape_rejected(spark, data, shape):
+def test_spark_init_of_wrong_shape_rejected(spark, data, shape, spark_fit):
     """k = 8 and d = 2 are the fit's arguments; the init must match both."""
     X, _ = data
     df = sdata.to_spark(spark, X, n_partitions=2)
     with pytest.raises(ValueError, match="init_centroids"):
-        daskmeans_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=np.zeros(shape))
+        spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=np.zeros(shape))
+
+
+@SPARK_FITS
+def test_spark_nan_init_rejected(spark, data, spark_fit):
+    X, C0 = data
+    C0 = C0.copy()
+    C0[3, 0] = np.nan
+    df = sdata.to_spark(spark, X, n_partitions=2)
+    with pytest.raises(ValueError, match="init_centroids must be finite"):
+        spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
 
 
 def test_spark_non_finite_row_rejected(spark, data):
