@@ -44,7 +44,7 @@ def main(n: int = 100_000, k: int = 64) -> None:
     print(f"n={n} k={k}")
     print(f"spark Dask-means : {t_dask:7.2f}s  dists={rd.n_dist:,} "
           f"pruned={rd.pruned_vectors:,} iters={rd.n_iter}")
-    print(f"spark Lloyd (DF) : {t_lloyd:7.2f}s  dists={n * k * rl.n_iter:,} "
+    print(f"spark Lloyd (DF) : {t_lloyd:7.2f}s  dists={rl.n_dist:,} "
           f"iters={rl.n_iter}")
     print(f"MLlib KMeans     : {t_ml:7.2f}s")
     print(f"Dask-means == Lloyd centroids: {agree}")

@@ -19,11 +19,11 @@ algorithm, so they share one contract:
 
 They differ only in how they assign points, so the nine accelerated
 algorithms (Dask-means and its two ablations, locally and on Spark,
-Elkan, Hamerly, Drake, Yinyang, NoBound, Dual-tree) run one loop,
-:func:`iterate`, and each is an ``assign(C, drift) -> AssignStats`` hook
-over its own state. Lloyd keeps its own plain loop
-(``repro.baselines.lloyd``): it is the reference the exactness tests
-compare every other algorithm against.
+Elkan, Hamerly, Drake, Yinyang, NoBound, Dual-tree) and Spark Lloyd run
+one loop, :func:`iterate`, and each is an ``assign(C, drift) ->
+AssignStats`` hook over its own state. Local Lloyd keeps its own plain
+loop (``repro.baselines.lloyd``): it is the reference the exactness tests
+compare every other algorithm, Spark Lloyd included, against.
 """
 from __future__ import annotations
 

@@ -22,10 +22,19 @@ def centroids_pdf(C: np.ndarray) -> pd.DataFrame:
     return pdf
 
 
+def _sum(terms: list[str]) -> str:
+    """``terms`` added as a balanced tree: DuckDB's binder recurses once per
+    nesting level and gives up on a d-deep chain at d >= 128. The left
+    half takes the odd term, so d <= 3 stays a plain chain."""
+    if len(terms) == 1:
+        return terms[0]
+    h = (len(terms) + 1) // 2
+    right = _sum(terms[h:])
+    return f"{_sum(terms[:h])} + {right if len(terms) - h == 1 else f'({right})'}"
+
+
 def _dist2(d: int, p: str = "p", c: str = "c") -> str:
-    return " + ".join(
-        f"({p}.x{i} - {c}.x{i}) * ({p}.x{i} - {c}.x{i})" for i in range(d)
-    )
+    return _sum([f"({p}.x{i} - {c}.x{i}) * ({p}.x{i} - {c}.x{i})" for i in range(d)])
 
 
 def assignment_sql(d: int) -> str:

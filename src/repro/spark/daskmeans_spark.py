@@ -21,7 +21,9 @@ operator:
 
 Because every partition applies the exact algorithm to its share of the
 points and refinement uses global sums, the result equals the local
-algorithm (and Lloyd) from the same initial centroids.
+algorithm (and Lloyd) from the same initial centroids. ``lloyd_spark``
+runs the same loop with a Catalyst-aggregation hook and returns the same
+:class:`SparkKMeansResult`.
 """
 from __future__ import annotations
 
@@ -57,33 +59,17 @@ def fit(
     k: int,
     *,
     d: int,
+    init_centroids: np.ndarray,
     f: int = 30,
     max_iter: int = 20,
-    seed: int = 0,
-    init_centroids: np.ndarray | None = None,
 ) -> SparkKMeansResult:
-    """Distributed Dask-means over a [id, x0..x{d-1}] DataFrame.
-
-    Pass ``init_centroids`` to start from a known init (used by the
-    equivalence tests against the local algorithm); otherwise k distinct
-    points are sampled with ``seed``.
-    """
-    if init_centroids is not None:
-        C = check_centroids(init_centroids, d, k)
+    """Distributed Dask-means over a [id, x0..x{d-1}] DataFrame."""
+    C = check_centroids(init_centroids, d, k)
     sc = spark.sparkContext
     arrays = sdata.partition_arrays(df, d)
     cached = arrays.mapPartitions(lambda p: _build_state(p, f)).persist()
     cached.count()  # materialize the trees once
     state = cached
-
-    if init_centroids is None:
-        # Deterministic init: k distinct points, seeded; sorted by id for
-        # a stable order regardless of partitioning.
-        sample = state.flatMap(
-            lambda s: [(int(i), s[1].X[j]) for j, i in enumerate(s[0])]
-        ).takeSample(False, k, seed)
-        sample.sort(key=lambda t: t[0])
-        C = np.array([v for _, v in sample])
 
     # Per-iteration broadcasts are referenced by the cached state RDD's
     # pickled closure, so they cannot be destroyed until the final state

@@ -87,14 +87,6 @@ def test_partitioning_invariance(spark):
     np.testing.assert_allclose(r2.centroids, r7.centroids, atol=1e-8)
 
 
-def test_seeded_init_deterministic(spark):
-    X = datasets.make("tdrive", 1500, seed=6)
-    df = sdata.to_spark(spark, X, n_partitions=3)
-    a = daskmeans_spark.fit(spark, df, 8, d=2, max_iter=3, seed=42)
-    b = daskmeans_spark.fit(spark, df, 8, d=2, max_iter=3, seed=42)
-    np.testing.assert_allclose(a.centroids, b.centroids, atol=1e-12)
-
-
 def test_counters_aggregate(spark, fixture2d):
     X, C0, df = fixture2d
     dist = daskmeans_spark.fit(spark, df, 16, d=2, f=30, max_iter=6, init_centroids=C0)
