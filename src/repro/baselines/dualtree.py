@@ -76,8 +76,8 @@ def fit(
             # itself, whose own records stay consistent with its cluster).
             ub_set[node + 1 : tree.subtree_end[node]] = np.inf
             stats.sv[j] += tree.node_sum[node]
-            stats.cnt[j] += tree.count[node]
-            stats.pruned_vectors += int(tree.count[node])
+            stats.cnt[j] += len(rows)
+            stats.pruned_vectors += len(rows)
 
         stack = [0]
         while stack:
@@ -113,8 +113,7 @@ def fit(
                 continue
 
             if not tree.is_leaf(node):
-                stack.append(int(tree.right[node]))
-                stack.append(int(tree.left[node]))
+                stack += reversed(tree.children(node))  # left pops first
                 continue
 
             rows = tree.points(node)

@@ -14,13 +14,16 @@ Omohundro's construction [47], a node splits on the coordinate of maximum
 spread at the median, giving a balanced tree of height ~log2(2n/f).
 
 Each node carries exactly the fields the paper's Algorithm 1 needs: pivot
-(mean of covered points), radius, covered count |N|, the cluster id a(N)
-assigned in the previous iteration, and the covered-point sum vector used
-for O(1) cluster-sum updates when a whole node moves between clusters.
+(mean of covered points), radius, the cluster id a(N) assigned in the
+previous iteration, and the covered-point sum vector used for O(1)
+cluster-sum updates when a whole node moves between clusters. The covered
+count |N| is ``end - start``. Node ids are preorder, so the tree shape is
+one array, ``subtree_end``: node ``i``'s subtree is the id range
+``[i, subtree_end[i])``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,41 +34,24 @@ NO_CLUSTER = -1
 class BallTree:
     """A built Ball-tree over ``X`` with leaf capacity ``f``.
 
-    Attributes are flat arrays indexed by node id; node 0 is the root.
-    ``left[i] == -1`` marks a leaf. ``idx[start[i]:end[i]]`` are the row
-    indices of ``X`` covered by node ``i``.
+    Attributes are flat arrays indexed by preorder node id; node 0 is the
+    root. ``idx[start[i]:end[i]]`` are the row indices of ``X`` covered by
+    node ``i``, so |N| is ``end[i] - start[i]``. Node ``i`` is a leaf when
+    ``subtree_end[i] == i + 1``; otherwise its children are ``i + 1`` and
+    ``subtree_end[i + 1]``.
     """
 
     X: np.ndarray          # (n, d) the indexed vectors (not copied)
     f: int                 # leaf capacity
+    height: int            # number of levels
     idx: np.ndarray        # (n,) permutation of arange(n)
     pivot: np.ndarray      # (m, d) node means
     radius: np.ndarray     # (m,) max distance from pivot to covered points
-    count: np.ndarray      # (m,) number of covered points |N|
-    left: np.ndarray       # (m,) child ids, -1 for leaves
-    right: np.ndarray      # (m,)
     start: np.ndarray      # (m,) slice into idx
     end: np.ndarray        # (m,)
     node_sum: np.ndarray   # (m, d) sum of covered points (for sv updates)
-    depth: np.ndarray      # (m,) root depth 0
-    subtree_end: np.ndarray = field(default=None)  # (m,) preorder subtree end
-    cluster: np.ndarray = field(default=None)  # (m,) a(N), NO_CLUSTER init
-
-    def __post_init__(self):
-        if self.cluster is None:
-            self.cluster = np.full(len(self.pivot), NO_CLUSTER, dtype=np.int64)
-        if self.subtree_end is None:
-            # Node ids are preorder, so node v's subtree is the contiguous id
-            # range [v, subtree_end[v]) — the first later node at depth <=
-            # depth[v] closes it. Monotonic-stack pass, O(m).
-            m = len(self.pivot)
-            se = np.full(m, m, dtype=np.int64)
-            stack: list[int] = []
-            for i in range(m):
-                while stack and self.depth[stack[-1]] >= self.depth[i]:
-                    se[stack.pop()] = i
-                stack.append(i)
-            self.subtree_end = se
+    subtree_end: np.ndarray  # (m,) end of the preorder id range of the subtree
+    cluster: np.ndarray    # (m,) a(N), NO_CLUSTER until assigned
 
     @property
     def n_nodes(self) -> int:
@@ -73,18 +59,20 @@ class BallTree:
 
     @property
     def n_leaves(self) -> int:
-        return int((self.left == -1).sum())
+        return int(self.is_leaf(np.arange(self.n_nodes)).sum())
 
     @property
     def n_internal(self) -> int:
         return self.n_nodes - self.n_leaves
 
-    @property
-    def height(self) -> int:
-        return int(self.depth.max()) + 1 if self.n_nodes else 0
+    def is_leaf(self, i):
+        """Whether node i is a leaf (elementwise for an array of ids)."""
+        return self.subtree_end[i] == i + 1
 
-    def is_leaf(self, i: int) -> bool:
-        return self.left[i] == -1
+    def children(self, i):
+        """The left and right child of internal node i (elementwise for an
+        array of ids)."""
+        return i + 1, self.subtree_end[i + 1]
 
     def points(self, i: int) -> np.ndarray:
         """Row indices of X covered by node i."""
@@ -98,74 +86,46 @@ def build(X: np.ndarray, f: int) -> BallTree:
     passes. Deterministic for a given ``X`` and ``f``.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n, d = X.shape
+    n, _ = X.shape
     if f < 1:
         raise ValueError(f"leaf capacity f must be >= 1, got {f}")
     idx = np.arange(n)
-    # Worst case number of nodes for a binary tree with >= f/2-filled leaves.
-    cap = max(1, 4 * (n // max(1, f // 2 + 1) + 2))
-    pivot = np.zeros((cap, d))
-    radius = np.zeros(cap)
-    count = np.zeros(cap, dtype=np.int64)
-    left = np.full(cap, -1, dtype=np.int64)
-    right = np.full(cap, -1, dtype=np.int64)
-    start = np.zeros(cap, dtype=np.int64)
-    end = np.zeros(cap, dtype=np.int64)
-    node_sum = np.zeros((cap, d))
-    depth = np.zeros(cap, dtype=np.int64)
+    pivot, radius, start, end, node_sum, subtree_end = [], [], [], [], [], []
+    height = 0
 
-    def grow(m):
-        nonlocal cap, pivot, radius, count, left, right, start, end, node_sum, depth
-        while m >= cap:
-            cap *= 2
-            pivot = np.vstack([pivot, np.zeros_like(pivot)])
-            radius = np.concatenate([radius, np.zeros_like(radius)])
-            count = np.concatenate([count, np.zeros_like(count)])
-            left = np.concatenate([left, np.full_like(left, -1)])
-            right = np.concatenate([right, np.full_like(right, -1)])
-            start = np.concatenate([start, np.zeros_like(start)])
-            end = np.concatenate([end, np.zeros_like(end)])
-            node_sum = np.vstack([node_sum, np.zeros_like(node_sum)])
-            depth = np.concatenate([depth, np.zeros_like(depth)])
-
-    n_nodes = 0
-    # Explicit stack: (start, end, depth, parent_slot, is_left) — parent link
-    # is written when the child id is known.
-    stack = [(0, n, 0, -1, False)]
-    while stack:
-        s, e, dep, parent, is_left = stack.pop()
-        node = n_nodes
-        n_nodes += 1
-        grow(node)
+    def grow(s, e, depth):
+        # Preorder: the node takes the next id, then its left and right
+        # subtrees; the recursion is as deep as the tree.
+        nonlocal height
+        height = max(height, depth + 1)
+        node = len(pivot)
         pts = X[idx[s:e]]
         mu = pts.mean(axis=0)
         diff = pts - mu
-        r = float(np.sqrt((diff * diff).sum(axis=1).max())) if e > s else 0.0
-        pivot[node] = mu
-        radius[node] = r
-        count[node] = e - s
-        start[node] = s
-        end[node] = e
-        node_sum[node] = pts.sum(axis=0)
-        depth[node] = dep
-        if parent >= 0:
-            (left if is_left else right)[parent] = node
+        pivot.append(mu)
+        radius.append(float(np.sqrt((diff * diff).sum(axis=1).max())) if e > s else 0.0)
+        start.append(s)
+        end.append(e)
+        node_sum.append(pts.sum(axis=0))
+        subtree_end.append(0)
         if e - s > f:
             spread = pts.max(axis=0) - pts.min(axis=0)
             dim = int(np.argmax(spread))
             mid = (e - s) // 2
             order = np.argpartition(pts[:, dim], mid)
             idx[s:e] = idx[s:e][order]
-            stack.append((s + mid, e, dep + 1, node, False))
-            stack.append((s, s + mid, dep + 1, node, True))
+            grow(s, s + mid, depth + 1)
+            grow(s + mid, e, depth + 1)
+        subtree_end[node] = len(pivot)
 
-    sl = slice(0, n_nodes)
+    grow(0, n, 0)
     return BallTree(
-        X=X, f=f, idx=idx,
-        pivot=pivot[sl].copy(), radius=radius[sl].copy(),
-        count=count[sl].copy(), left=left[sl].copy(), right=right[sl].copy(),
-        start=start[sl].copy(), end=end[sl].copy(),
-        node_sum=node_sum[sl].copy(), depth=depth[sl].copy(),
+        X=X, f=f, height=height, idx=idx,
+        pivot=np.array(pivot), radius=np.array(radius),
+        start=np.array(start, dtype=np.int64), end=np.array(end, dtype=np.int64),
+        node_sum=np.array(node_sum),
+        subtree_end=np.array(subtree_end, dtype=np.int64),
+        cluster=np.full(len(pivot), NO_CLUSTER, dtype=np.int64),
     )
 
 
@@ -213,13 +173,13 @@ def knn(
                     best_d[pos] = di
                     best_i[pos] = ri
         else:
-            for child in (tree.left[node], tree.right[node]):
+            for child in tree.children(node):
                 diff = q - tree.pivot[child]
                 dc = float(np.sqrt(diff @ diff))
                 n_dist += 1
                 clb = dc - tree.radius[child]
                 if clb < best_d[-1]:
-                    heapq.heappush(heap, (clb, int(child), dc))
+                    heapq.heappush(heap, (clb, child, dc))
     return best_i, best_d, n_dist
 
 
@@ -255,8 +215,7 @@ def range_query(
                 out_i.append(rows[m])
                 out_d.append(dd[m])
         else:
-            stack.append(int(tree.left[node]))
-            stack.append(int(tree.right[node]))
+            stack.extend(tree.children(node))
     if not out_i:
         return np.empty(0, dtype=np.int64), np.empty(0), n_dist
     return np.concatenate(out_i), np.concatenate(out_d), n_dist

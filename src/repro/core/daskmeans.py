@@ -140,8 +140,14 @@ class _Lists:
     def children(self, tree: BallTree) -> "_Lists":
         """Both children of every (internal) node, each inheriting its
         parent's list."""
-        kids = np.column_stack([tree.left[self.nodes], tree.right[self.nodes]]).ravel()
+        kids = np.column_stack(tree.children(self.nodes)).ravel()
         return self.take(np.repeat(np.arange(len(self.nodes)), 2), kids)
+
+    def points(self, tree: BallTree) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of ``tree.X`` covered by the nodes, and the position in
+        ``nodes`` of each row's node."""
+        s, e = tree.start[self.nodes], tree.end[self.nodes]
+        return tree.idx[_ranges(s, e)], np.repeat(np.arange(len(self.nodes)), e - s)
 
     def split(self, cap: int) -> list["_Lists"]:
         """Runs of consecutive nodes holding at most ``cap`` entries each
@@ -217,10 +223,9 @@ def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
         if node_ub is not None:
             bound = np.minimum(bound, node_ub[level.nodes] + r)
         level = level.keep(D <= _inflate(bound)[level.owner])
-        leaf = ctree.left[level.nodes] == -1
+        leaf = ctree.is_leaf(level.nodes)
         leaves = level.take(np.flatnonzero(leaf))
-        queries = ctree.idx[_ranges(ctree.start[leaves.nodes], ctree.end[leaves.nodes])]
-        own = np.repeat(np.arange(len(leaves.nodes)), ctree.count[leaves.nodes])
+        queries, own = leaves.points(ctree)
         n_dist += _scan_cb(C, leaves, own, queries, cb)
         stack += level.take(np.flatnonzero(~leaf)).children(ctree).split(_BLOCK_FLOATS)
     return n_dist
@@ -294,7 +299,7 @@ def assign_pass(
         # Eq. 7-8: the node's (and its children's) list keeps just those.
         if use_knn:
             level = level.keep(D <= reach[level.owner])
-        leaf = ~gap & (tree.left[nodes] == -1)
+        leaf = ~gap & tree.is_leaf(nodes)
         leaves = level.take(np.flatnonzero(leaf))
         _assign_leaves(tree, C, cb, labels, leaves, use_inter_bound, stats)
         # A leaf holds mixed clusters; remember its pivot's nearest centroid
@@ -309,7 +314,7 @@ def assign_pass(
 
 def _assign_batches(tree, labels, nodes, ids, stats: AssignStats) -> None:
     """Assign whole subtrees: node ``nodes[i]`` and its points to ``ids[i]``."""
-    count = tree.count[nodes]
+    count = tree.end[nodes] - tree.start[nodes]
     rows = tree.idx[_ranges(tree.start[nodes], tree.end[nodes])]
     new = np.repeat(ids, count)
     stats.changed |= bool((labels[rows] != new).any())
@@ -329,8 +334,7 @@ def _assign_leaves(tree, C, cb, labels, leaves: _Lists, use_inter_bound, stats) 
     masked columns of the block matmul."""
     X = tree.X
     k, d = C.shape
-    rows = tree.idx[_ranges(tree.start[leaves.nodes], tree.end[leaves.nodes])]
-    own = np.repeat(np.arange(len(leaves.nodes)), tree.count[leaves.nodes])
+    rows, own = leaves.points(tree)
     step = max(1, _BLOCK_FLOATS // (k + d))
     for s in range(0, len(rows), step):
         rs, os_ = rows[s : s + step], own[s : s + step]
@@ -419,10 +423,10 @@ def fit(
     t0 = time.perf_counter()
     if tree is None:
         tree = bt.build(X, f)
-    elif tree.X.shape != X.shape or tree.f != f:
+    elif tree.f != f or not np.array_equal(tree.X, X):
         raise ValueError(
-            f"prebuilt tree indexes shape {tree.X.shape} with f={tree.f}, "
-            f"but X has shape {X.shape} and f={f}"
+            f"prebuilt tree must index these X with f={f}; it indexes "
+            f"other points of shape {tree.X.shape} or f={tree.f}"
         )
     else:
         tree.cluster[:] = NO_CLUSTER

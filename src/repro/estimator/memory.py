@@ -68,12 +68,13 @@ def tune_f(n: int, k: int, budget_floats: float, *, f_min: int = 2, f_max: int =
 def measured_floats(tree: BallTree) -> int:
     """Actual float-slot footprint of a built tree (our implementation).
 
-    Real allocations: per node pivot (d) + node_sum (d) + 7 scalar fields
-    (radius, count, left, right, start, end, cluster) and the n-entry
-    permutation array. No half-full assumption — true node counts.
+    Every array the tree holds besides ``X``: per node pivot (d) +
+    node_sum (d) + 5 scalar fields (radius, start, end, subtree_end,
+    cluster), and the n-entry permutation array. No half-full assumption —
+    true node counts.
     """
     m, d = tree.pivot.shape
-    return m * (2 * d + 7) + len(tree.idx)
+    return m * (2 * d + 5) + len(tree.idx)
 
 
 def measured_total_floats(tree: BallTree, ctree: BallTree | None, n: int) -> int:

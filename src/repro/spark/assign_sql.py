@@ -70,11 +70,6 @@ def validation_sql(d: int, tol: float = 1e-9) -> str:
     """
 
 
-def all_ok_sql() -> str:
-    """SELECT id, 1 AS ok over points — expected result of validation_sql."""
-    return "SELECT p.id AS id, 1 AS ok FROM points p"
-
-
 def refine_sql(d: int) -> str:
     """SELECT cluster, cnt, s_x0.. — Catalyst groupBy.agg equivalent."""
     sums = ", ".join(f"SUM(a.x{i}) AS s_x{i}" for i in range(d))

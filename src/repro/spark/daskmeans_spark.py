@@ -4,12 +4,13 @@ The paper's future-work section sketches a distributed Dask-means for
 edge fleets; the reproduction plan realizes it as a Spark per-partition
 operator:
 
-* **state** — each partition owns (ids, Ball-tree, labels, node-cluster
-  array). The tree is built once; the a(N)/a(i) state evolves across
-  iterations. The state lives in a persisted RDD and is *functionally*
-  replaced each iteration (PySpark caches pickled partitions, so in-task
-  mutation would be lost — instead every iteration maps the old state to
-  (new state, partial aggregates) and persists the new RDD).
+* **state** — each partition owns (ids, Ball-tree with its a(N) array
+  ``cluster``, labels a(i)). The tree is built once; the a(N)/a(i) state
+  evolves across iterations. The state lives in a persisted RDD and is
+  *functionally* replaced each iteration (PySpark caches pickled
+  partitions, so in-task mutation would be lost — instead every iteration
+  maps the old state to (new state, partial aggregates) and persists the
+  new RDD).
 * **per iteration** — the driver runs the loop every accelerated
   algorithm shares, ``result.iterate`` (refinement, drift, convergence),
   with the local fit's own hook, ``daskmeans.Hook`` (centroid index,

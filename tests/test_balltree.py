@@ -18,16 +18,15 @@ def test_structure_invariants(name, f):
     X, t = _tree(name, 800, f)
     n = len(X)
     # Root covers everything; idx is a permutation.
-    assert t.count[0] == n
+    assert len(t.points(0)) == n
     assert sorted(t.idx.tolist()) == list(range(n))
     for i in range(t.n_nodes):
         rows = t.points(i)
-        assert len(rows) == t.count[i]
         if t.is_leaf(i):
-            assert t.count[i] <= f
+            assert len(rows) <= f
         else:
-            l, r = t.left[i], t.right[i]
-            assert t.count[l] + t.count[r] == t.count[i]
+            l, r = t.children(i)
+            assert len(t.points(l)) + len(t.points(r)) == len(rows)
             # children partition the parent's slice
             assert t.start[l] == t.start[i] and t.end[r] == t.end[i]
             assert t.end[l] == t.start[r]
@@ -56,13 +55,17 @@ def test_subtree_end_preorder():
     X, t = _tree("tdrive", 400, 8)
     for i in range(t.n_nodes):
         lo, hi = i, t.subtree_end[i]
+        # The subtree ids are exactly the nodes whose slice nests in node
+        # i's slice, found from start/end alone.
+        nested = np.flatnonzero((t.start >= t.start[i]) & (t.end <= t.end[i]))
+        assert nested.tolist() == list(range(lo, hi))
         if t.is_leaf(i):
             assert hi == i + 1
         else:
-            # subtree ids are exactly the contiguous range
-            assert t.left[i] == i + 1
-            assert lo < t.right[i] < hi
-            assert t.subtree_end[t.right[i]] == hi
+            l, r = t.children(i)
+            assert l == i + 1
+            assert lo < r < hi
+            assert t.subtree_end[r] == hi
 
 
 @pytest.mark.parametrize("name", ["tdrive", "argo_pc", "apoll_td"])
@@ -134,8 +137,8 @@ def test_build_counts_hypothesis(n, f, seed):
     X = g.normal(size=(n, 3))
     t = bt.build(X, f)
     leaves = [i for i in range(t.n_nodes) if t.is_leaf(i)]
-    assert sum(int(t.count[i]) for i in leaves) == n
-    assert all(t.count[i] <= f for i in leaves)
+    assert sum(len(t.points(i)) for i in leaves) == n
+    assert all(len(t.points(i)) <= f for i in leaves)
     assert t.n_internal == t.n_leaves - 1
 
 

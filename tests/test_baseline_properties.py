@@ -87,7 +87,7 @@ def test_nobound_uses_kk_matrix(setup):
 PINNED_COUNTERS = {
     "Lloyd": (512000, 0, 8, 2000),
     "NoBound": (120541, 0, 8, 5024),
-    "Dual-tree": (389824, 9908, 8, 19345),
+    "Dual-tree": (389824, 9908, 8, 17299),
     "Hamerly": (224097, 0, 8, 7024),
     "Drake": (149980, 0, 8, 36000),
     "Yinyang": (199437, 0, 8, 10032),

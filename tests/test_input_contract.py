@@ -73,9 +73,11 @@ def test_prebuilt_tree_with_other_f_rejected(data):
 
 def test_prebuilt_tree_over_other_points_rejected(data):
     X, C0 = data
-    tree = bt.build(X[:200], 30)
-    with pytest.raises(ValueError, match="prebuilt tree"):
-        daskmeans.fit(X, C0, 3, f=30, tree=tree)
+    # Fewer points, and as many other points of the same shape.
+    for other in (X[:200], datasets.make("tdrive", len(X), seed=7)):
+        tree = bt.build(other, 30)
+        with pytest.raises(ValueError, match="prebuilt tree"):
+            daskmeans.fit(X, C0, 3, f=30, tree=tree)
 
 
 SPARK_FITS = pytest.mark.parametrize(
