@@ -54,7 +54,7 @@ Exactness notes (mirroring the paper's reasoning):
 Ablations (Section VI-B): ``use_knn=False`` -> **NokNN** (inter bound kept,
 but every list keeps all k centroids: the same walk with the candidate
 filter off, and no centroid index); ``use_inter_bound=False`` -> **NoInB**
-(candidate lists kept, Eq. 4/5/9 checks dropped).
+(candidate lists kept; no inter bounds, ``cb=None``, so Eq. 4/5 keep nothing).
 """
 from __future__ import annotations
 
@@ -184,22 +184,15 @@ def compute_cb(
     second-smallest pivot distance over its list, and, from the second
     iteration (``cb_prev``/``drift`` given), within the Eq. 9 bound
     ``cb_prev[j] + drift[j] + max(drift)`` of its members plus ``r``.
-    Each centroid then scans its leaf's list. ``ctree=None`` (NokNN)
-    scans all k centroids for every centroid.
+    Each centroid then scans its leaf's list. One scan of all k centroids
+    serves every centroid left at inf: all of them for ``ctree=None``
+    (NokNN), and those whose list held no other (a tie at the bound, k = 1).
     """
     k = len(C)
-    everyone = np.arange(k)
-    cb = np.empty(k)
-    if ctree is None:
-        n_dist = _scan_cb(C, _Lists.root(k), np.zeros(k, dtype=np.int64), everyone, cb)
-    else:
-        n_dist = _walk_cb(C, ctree, cb_prev, drift, cb)
-    # Tie at the bound (or k = 1): no other centroid in the list; scan all.
-    for j in np.flatnonzero(np.isinf(cb)):
-        D = _pair_dist(C, np.full(k, j), C, everyone)
-        n_dist += k
-        D[j] = np.inf
-        cb[j] = D.min()
+    cb = np.full(k, np.inf)
+    n_dist = 0 if ctree is None else _walk_cb(C, ctree, cb_prev, drift, cb)
+    rest = np.flatnonzero(np.isinf(cb))
+    n_dist += _scan_cb(C, _Lists.root(k), np.zeros(len(rest), dtype=np.int64), rest, cb)
     return cb, n_dist
 
 
@@ -248,6 +241,18 @@ def _scan_cb(C, lists: _Lists, own, queries, cb) -> int:
     return n_dist
 
 
+def _kept(P, prev, r, C, cb, stats: AssignStats) -> np.ndarray:
+    """Eq. 4/5: the positions i whose ball of radius ``r[i]`` around
+    ``P[i]`` provably stays with its recorded cluster ``prev[i]``, at one
+    distance per recorded cluster. None without inter bounds (NoInB)."""
+    if cb is None:
+        return np.empty(0, dtype=np.int64)
+    has = np.flatnonzero(prev != NO_CLUSTER)
+    dprev = _pair_dist(P, has, C, prev[has])
+    stats.n_dist += len(has)
+    return has[_inflate(dprev + r[has]) < cb[prev[has]] / 2.0]
+
+
 def assign_pass(
     tree: BallTree,
     C: np.ndarray,
@@ -255,10 +260,9 @@ def assign_pass(
     labels: np.ndarray,
     *,
     use_knn: bool = True,
-    use_inter_bound: bool = True,
 ) -> AssignStats:
     """One full Assign traversal (Alg. 1 lines 15-40) as a walk over the
-    point tree, one depth at a time.
+    point tree, one depth at a time; ``cb=None`` is NoInB.
 
     Mutates ``tree.cluster`` (the per-node a(N) state) and ``labels`` (the
     per-point a(i) state) in place — these are the cross-iteration state
@@ -275,16 +279,12 @@ def assign_pass(
         # Eq. 5: the whole node provably belongs to cluster a(N). Valid
         # even for a stale a(N); the batch step also resyncs any point
         # labels that drifted away in earlier iterations.
-        if use_inter_bound:
-            nodes = level.nodes
-            aN = tree.cluster[nodes]
-            has = np.flatnonzero(aN != NO_CLUSTER)
-            dprev = _pair_dist(tree.pivot, nodes[has], C, aN[has])
-            stats.n_dist += len(has)
-            hit = has[_inflate(dprev + tree.radius[nodes[has]]) < cb[aN[has]] / 2.0]
-            batch_nodes.append(nodes[hit])
-            batch_ids.append(aN[hit])
-            level = level.take(np.setdiff1d(np.arange(len(nodes)), hit))
+        nodes = level.nodes
+        aN = tree.cluster[nodes]
+        hit = _kept(tree.pivot[nodes], aN, tree.radius[nodes], C, cb, stats)
+        batch_nodes.append(nodes[hit])
+        batch_ids.append(aN[hit])
+        level = level.take(np.setdiff1d(np.arange(len(nodes)), hit))
 
         nodes = level.nodes
         r = tree.radius[nodes]
@@ -301,7 +301,7 @@ def assign_pass(
             level = level.keep(D <= reach[level.owner])
         leaf = ~gap & tree.is_leaf(nodes)
         leaves = level.take(np.flatnonzero(leaf))
-        _assign_leaves(tree, C, cb, labels, leaves, use_inter_bound, stats)
+        _assign_leaves(tree, C, cb, labels, leaves, stats)
         # A leaf holds mixed clusters; remember its pivot's nearest centroid
         # as a(N) — Eq. 5 stays exact for *any* recorded id, and this choice
         # maximizes the chance of a batch prune next round.
@@ -326,7 +326,7 @@ def _assign_batches(tree, labels, nodes, ids, stats: AssignStats) -> None:
     stats.pruned_vectors += int(count.sum())
 
 
-def _assign_leaves(tree, C, cb, labels, leaves: _Lists, use_inter_bound, stats) -> None:
+def _assign_leaves(tree, C, cb, labels, leaves: _Lists, stats) -> None:
     """Per-point assignment of the leaves the walk reached, in blocks of
     points: Eq. 4 keeps a point's previous cluster, the other points take
     the lowest-id nearest centroid of their leaf's list. ``n_dist`` counts
@@ -341,13 +341,10 @@ def _assign_leaves(tree, C, cb, labels, leaves: _Lists, use_inter_bound, stats) 
         pts, prev = X[rs], labels[rs]
         best = prev.copy()
         todo = np.ones(len(rs), dtype=bool)
-        if use_inter_bound:
-            has = np.flatnonzero(prev != NO_CLUSTER)
-            dprev = _pair_dist(pts, has, C, prev[has])
-            stats.n_dist += len(has)
-            kept = has[_inflate(dprev) < cb[prev[has]] / 2.0]
-            stats.pruned_vectors += len(kept)
-            todo[kept] = False
+        # Eq. 4 is Eq. 5 at radius 0 (dprev + 0.0 is exact).
+        kept = _kept(pts, prev, np.zeros(len(rs)), C, cb, stats)
+        stats.pruned_vectors += len(kept)
+        todo[kept] = False
         rest = np.flatnonzero(todo)
         if len(rest):
             best[rest] = _argmin_lists(pts[rest], os_[rest], leaves, C)
@@ -379,7 +376,8 @@ class Hook:
     """The loop's ``assign(C, drift)`` hook of Dask-means (steps 1-3),
     shared by the local and the Spark fit: rebuild the centroid index,
     compute the inter bounds, then ``assign_points(C, cb) -> AssignStats``
-    over every point. Keeps the last centroid index and inter bounds."""
+    over every point. Keeps the last centroid index and inter bounds
+    (``cb`` stays None for NoInB)."""
 
     assign_points: Callable[[np.ndarray, np.ndarray | None], AssignStats]
     f: int
@@ -435,9 +433,7 @@ def fit(
     labels = np.full(n, NO_CLUSTER, dtype=np.int64)
 
     def assign_points(C, cb):
-        return assign_pass(
-            tree, C, cb, labels, use_knn=use_knn, use_inter_bound=use_inter_bound
-        )
+        return assign_pass(tree, C, cb, labels, use_knn=use_knn)
 
     hook = Hook(assign_points, f, use_knn, use_inter_bound)
     return iterate(C, hook, max_iter).result(

@@ -126,6 +126,14 @@ class AssignStats:
         """Stats of a pass that moved ``prev`` to ``labels`` over ``X``."""
         return cls(*cluster_sums(X, labels, k), bool((labels != prev).any()), n_dist, 0)
 
+    @classmethod
+    def total(cls, parts: list["AssignStats"]) -> "AssignStats":
+        """Stats of a pass made of ``parts``, each over its own share."""
+        return cls(
+            sum(p.sv for p in parts), sum(p.cnt for p in parts), any(p.changed for p in parts),
+            sum(p.n_dist for p in parts), sum(p.pruned_vectors for p in parts),
+        )
+
 
 @dataclass
 class LoopResult:

@@ -4,21 +4,21 @@ The paper's future-work section sketches a distributed Dask-means for
 edge fleets; the reproduction plan realizes it as a Spark per-partition
 operator:
 
-* **state** — each partition owns (ids, Ball-tree with its a(N) array
-  ``cluster``, labels a(i)). The tree is built once; the a(N)/a(i) state
-  evolves across iterations. The state lives in a persisted RDD and is
-  *functionally* replaced each iteration (PySpark caches pickled
-  partitions, so in-task mutation would be lost — instead every iteration
-  maps the old state to (new state, partial aggregates) and persists the
-  new RDD).
+* **state** — one persisted RDD; each partition owns (ids, Ball-tree
+  with its a(N) array ``cluster``, labels a(i), ``AssignStats`` of the
+  last pass). The tree is built once; the a(N)/a(i) state evolves across
+  iterations. PySpark caches pickled partitions, so in-task mutation
+  would be lost: every iteration maps the state to the next one.
 * **per iteration** — the driver runs the loop every accelerated
   algorithm shares, ``result.iterate`` (refinement, drift, convergence),
   with the local fit's own hook, ``daskmeans.Hook`` (centroid index,
   inter bounds). Only the hook's point assignment is distributed: it
   broadcasts (C, cb), each partition runs the *same*
-  ``daskmeans.assign_pass`` over its own tree and returns its
-  ``AssignStats`` (per-cluster sums and counts, counters), and the driver
-  sums them.
+  ``daskmeans.assign_pass`` over its own tree, and the driver collects
+  and adds up the partitions' ``AssignStats`` (per-cluster sums and
+  counts, counters).
+* **labels** — ``labels_df`` is written from the final state on the
+  executors and checkpointed; no label passes through the driver.
 
 Because every partition applies the exact algorithm to its share of the
 points and refinement uses global sums, the result equals the local
@@ -51,7 +51,7 @@ def _build_state(part, f: int):
     for ids, X in part:
         tree = bt.build(check_points(X), f)
         labels = np.full(len(ids), NO_CLUSTER, dtype=np.int64)
-        yield ids, tree, labels
+        yield ids, tree, labels, None
 
 
 def fit(
@@ -67,50 +67,40 @@ def fit(
     """Distributed Dask-means over a [id, x0..x{d-1}] DataFrame."""
     C = check_centroids(init_centroids, d, k)
     sc = spark.sparkContext
-    arrays = sdata.partition_arrays(df, d)
-    cached = arrays.mapPartitions(lambda p: _build_state(p, f)).persist()
-    cached.count()  # materialize the trees once
-    state = cached
+    state = sdata.partition_arrays(df, d).mapPartitions(lambda p: _build_state(p, f)).persist()
+    state.count()  # materialize the trees once
 
     # Per-iteration broadcasts are referenced by the cached state RDD's
     # pickled closure, so they cannot be destroyed until the final state
-    # has been collected — they are tiny (k x d floats + k inter
+    # has been written out — they are tiny (k x d floats + k inter
     # bounds), so we keep them and destroy all at the end.
     broadcasts = []
 
     def assign_points(C, cb):
-        nonlocal cached, state
+        nonlocal state
         bc = sc.broadcast((C, cb))
         broadcasts.append(bc)
 
         def step(s):
-            ids, tree, labels = s
-            stats = daskmeans.assign_pass(tree, *bc.value, labels)
-            return (ids, tree, labels), stats
+            ids, tree, labels, _ = s
+            return ids, tree, labels, daskmeans.assign_pass(tree, *bc.value, labels)
 
         # Persist + localCheckpoint truncates lineage each iteration so the
         # DAG does not grow with the iteration count.
-        new_full = state.map(step).persist()
-        new_full.localCheckpoint()
-        partials = new_full.map(lambda t: t[1]).collect()
-        cached.unpersist()
-        cached = new_full
-        state = new_full.map(lambda t: t[0])
-        return AssignStats(
-            sum(p.sv for p in partials), sum(p.cnt for p in partials),
-            any(p.changed for p in partials), sum(p.n_dist for p in partials),
-            sum(p.pruned_vectors for p in partials),
-        )
+        prev, state = state, state.map(step).persist()
+        state.localCheckpoint()
+        parts = state.map(lambda s: s[3]).collect()
+        prev.unpersist()
+        return AssignStats.total(parts)
 
     loop = iterate(C, daskmeans.Hook(assign_points, f), max_iter)
 
-    # Final labels back into the DataFrame world — collected to the driver
-    # first so labels_df carries no lineage into the (unpersisted) state.
-    parts = state.map(lambda s: (s[0], s[2])).collect()
-    labels_df = sdata.labels_to_spark(
-        spark, np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    )
-    cached.unpersist()
+    # Checkpointed, so labels_df carries no lineage into the state it is
+    # written from, which is unpersisted next.
+    labels_df = spark.createDataFrame(
+        state.flatMap(lambda s: zip(s[0].tolist(), s[2].tolist())), "id bigint, cluster bigint"
+    ).localCheckpoint()
+    state.unpersist()
     for bc in broadcasts:
         bc.destroy()
     return SparkKMeansResult(**vars(loop), labels_df=labels_df)

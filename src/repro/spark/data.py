@@ -3,7 +3,8 @@
 A spatial dataset is a DataFrame with a bigint ``id`` column and float
 columns ``x0..x{d-1}``. Conversions go through pandas/Arrow (the session
 enables Arrow), and the id encodes the original row order so labels can
-be compared elementwise against the local algorithms.
+be compared elementwise against the local algorithms; the Spark fits
+write their [id, cluster] ``labels_df`` on the executors.
 """
 from __future__ import annotations
 
@@ -47,7 +48,3 @@ def partition_arrays(df: DataFrame, d: int):
 
     return df.select(*cols).rdd.mapPartitions(_collect)
 
-
-def labels_to_spark(spark: SparkSession, ids: np.ndarray, labels: np.ndarray) -> DataFrame:
-    pdf = pd.DataFrame({"id": ids.astype(np.int64), "cluster": labels.astype(np.int64)})
-    return spark.createDataFrame(pdf)

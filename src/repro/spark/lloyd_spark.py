@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pyspark.sql.functions as Fn
 import pyspark.sql.types as T
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import lloyd
@@ -50,7 +51,10 @@ def fit(
     """Distributed Lloyd over a [id, x0..x{d-1}] DataFrame."""
     C = check_centroids(init_centroids, d, k)
     cols = sdata.dim_cols(d)
-    df = df.persist()
+    # Release only a cache the fit made itself, never the caller's.
+    own_cache = df.storageLevel == StorageLevel.NONE
+    if own_cache:
+        df = df.persist()
     prev_sig = None
 
     def assign(C, drift):
@@ -70,5 +74,6 @@ def fit(
 
     loop = iterate(C, assign, max_iter)
     labels_df = assign_df(df, loop.labels_centroids, d).select("id", "cluster")
-    df.unpersist()
+    if own_cache:
+        df.unpersist()
     return SparkKMeansResult(**vars(loop), labels_df=labels_df)

@@ -192,9 +192,7 @@ def test_assign_pass_is_lowest_id_argmin(case, variant):
         ctree = bt.build(C, f) if use_knn else None
         if use_inb:
             cb, _ = daskmeans.compute_cb(C, ctree, None, None)
-        stats = daskmeans.assign_pass(
-            tree, C, cb, labels, use_knn=use_knn, use_inter_bound=use_inb
-        )
+        stats = daskmeans.assign_pass(tree, C, cb, labels, use_knn=use_knn)
         want = _lowest_id_argmin(X, C)
         assert (labels == want).all()
         assert (stats.cnt == np.bincount(want, minlength=len(C))).all()
@@ -216,6 +214,16 @@ def test_compute_cb_is_nearest_other(case):
         np.testing.assert_array_equal(cb1, _nearest_other(C1))
         cb2, _ = daskmeans.compute_cb(C2, ctree2, cb1, drift)
         np.testing.assert_array_equal(cb2, _nearest_other(C2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_compute_cb_full_scan_costs_k_squared(k):
+    """NokNN's inter bounds (no centroid index) are one scan of all k
+    centroids per centroid: brute-force values at exactly k * k distances."""
+    C = np.random.default_rng(k).normal(size=(k, 3))
+    cb, n_dist = daskmeans.compute_cb(C, None, None, None)
+    np.testing.assert_array_equal(cb, _nearest_other(C))
+    assert n_dist == k * k
 
 
 def test_compute_cb_second_iteration_of_a_fit():

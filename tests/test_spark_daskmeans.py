@@ -28,7 +28,7 @@ def test_matches_local_daskmeans(spark, fixture2d):
     assert dist.n_iter == local.n_iter
     np.testing.assert_allclose(dist.centroids, local.centroids, atol=1e-8)
     lab = dist.labels_df.toPandas().sort_values("id")["cluster"].to_numpy()
-    assert (lab == local.labels).mean() > 0.999  # float-order boundary slack
+    np.testing.assert_array_equal(lab, local.labels)
 
 
 def test_matches_local_lloyd(spark, fixture2d):
@@ -92,3 +92,17 @@ def test_counters_aggregate(spark, fixture2d):
     dist = daskmeans_spark.fit(spark, df, 16, d=2, f=30, max_iter=6, init_centroids=C0)
     assert dist.n_dist > 0
     assert dist.pruned_vectors > 0
+
+
+def test_fit_leaves_only_the_labels_checkpoint(spark):
+    """A fit leaves at most one persisted RDD, its ``labels_df``
+    checkpoint, and that ``labels_df`` outlives the next fit."""
+    X = datasets.make("tdrive", 2000, seed=6)
+    C0 = cinit.random_init(X, 8, seed=7)
+    df = sdata.to_spark(spark, X, n_partitions=2)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    first = daskmeans_spark.fit(spark, df, 8, d=2, max_iter=4, init_centroids=C0)
+    assert persistent().size() <= before + 1
+    daskmeans_spark.fit(spark, df, 8, d=2, max_iter=4, init_centroids=C0)
+    assert first.labels_df.count() == len(X)

@@ -32,10 +32,3 @@ def test_partition_arrays_dtype(spark):
         assert ids.dtype == np.int64
         assert arr.dtype == np.float64
 
-
-def test_labels_to_spark(spark):
-    ids = np.arange(10)
-    labels = np.arange(10) % 3
-    df = sdata.labels_to_spark(spark, ids, labels)
-    pdf = df.toPandas().sort_values("id")
-    np.testing.assert_array_equal(pdf["cluster"].to_numpy(), labels)

@@ -58,6 +58,18 @@ def test_catalyst_refinement_vs_duckdb(spark, fixture2d):
     )
 
 
+def test_keeps_callers_cache(spark):
+    """A DataFrame the caller cached is still cached after the fit."""
+    X = datasets.make("tdrive", 2000, seed=0)
+    C0 = cinit.random_init(X, 8, seed=1)
+    df = sdata.to_spark(spark, X, n_partitions=2).persist()
+    df.count()
+    lloyd_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
+    level = df.storageLevel
+    df.unpersist()
+    assert level.useMemory or level.useDisk
+
+
 def _labels(r) -> np.ndarray:
     return r.labels_df.toPandas().sort_values("id")["cluster"].to_numpy()
 
