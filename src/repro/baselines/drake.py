@@ -70,15 +70,16 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         # (and the out-of-cache bound) provably keep their label. The
         # cache is not kept sorted across drift updates, so take the min.
         guard = np.minimum(cand_lb.min(axis=1), rest_lb)
-        suspect = np.flatnonzero(u > guard)
+        suspect = np.flatnonzero(u >= guard)
         if len(suspect):
             du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
             n_dist += len(suspect)
             u[suspect] = du
-            still = suspect[du > guard[suspect]]
+            still = suspect[du >= guard[suspect]]
             # Inside-cache resolution: exact distances to the b cached
-            # candidates; valid while u <= rest_lb.
-            incache = still[u[still] <= rest_lb[still]]
+            # candidates; valid while u < rest_lb (at equality an
+            # out-of-cache centroid may tie with a lower id).
+            incache = still[u[still] < rest_lb[still]]
             if len(incache):
                 pc = C[cand[incache]]                    # (m, b, d)
                 dc = np.sqrt(
@@ -86,9 +87,14 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 )
                 n_dist += len(incache) * b
                 cand_lb[incache] = dc
-                jbest = np.argmin(dc, axis=1)
-                dbest = dc[np.arange(len(incache)), jbest]
-                win = dbest < u[incache]
+                # Nearest cached candidate, the lowest id among ties.
+                dbest = dc.min(axis=1)
+                ids = cand[incache]
+                jbest = np.where(dc == dbest[:, None], ids, k).argmin(axis=1)
+                idbest = ids[np.arange(len(incache)), jbest]
+                win = (dbest < u[incache]) | (
+                    (dbest == u[incache]) & (idbest < labels[incache])
+                )
                 rowsw = incache[win]
                 # Swap: the winning cached centroid becomes the label and
                 # the dethroned label takes its cache slot (with its
@@ -97,12 +103,12 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 # rest_lb — dropping the old label silently loses it.
                 old_lab = labels[rowsw]
                 old_u = u[rowsw]
-                labels[rowsw] = cand[rowsw, jbest[win]]
+                labels[rowsw] = idbest[win]
                 u[rowsw] = dbest[win]
                 cand[rowsw, jbest[win]] = old_lab
                 cand_lb[rowsw, jbest[win]] = old_u
             # Out-of-cache: full recompute + resort for the rest.
-            full = still[u[still] > rest_lb[still]]
+            full = still[u[still] >= rest_lb[still]]
             if len(full):
                 la, uu, cc_, cl, rl = _full_sort(X[full], C, b)
                 n_dist += len(full) * k

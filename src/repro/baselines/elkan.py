@@ -46,14 +46,20 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
             s = 0.5 * cc.min(axis=1)
 
             tight = np.zeros(n, dtype=bool)
-            active = u > s[labels]
-            for j in range(k):
-                cond = (
+            active = u >= s[labels]
+
+            def candidates(j):
+                # Rows whose bounds allow centroid j to be nearer than, or
+                # exactly as near as, their own (a tie goes to the lower id).
+                return (
                     active
                     & (labels != j)
-                    & (u > low[:, j])
-                    & (u > 0.5 * cc[labels, j])
+                    & (u >= low[:, j])
+                    & (u >= 0.5 * cc[labels, j])
                 )
+
+            for j in range(k):
+                cond = candidates(j)
                 if not cond.any():
                     continue
                 stale = cond & ~tight
@@ -64,19 +70,14 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                     u[rows] = du
                     low[rows, labels[rows]] = du
                     tight[rows] = True
-                    cond = (
-                        active
-                        & (labels != j)
-                        & (u > low[:, j])
-                        & (u > 0.5 * cc[labels, j])
-                    )
+                    cond = candidates(j)
                 rows = np.flatnonzero(cond)
                 if len(rows) == 0:
                     continue
                 dj = np.sqrt(((X[rows] - C[j]) ** 2).sum(1))
                 n_dist += len(rows)
                 low[rows, j] = dj
-                better = dj < u[rows]
+                better = (dj < u[rows]) | ((dj == u[rows]) & (j < labels[rows]))
                 if better.any():
                     rb = rows[better]
                     labels[rb] = j

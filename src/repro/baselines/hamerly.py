@@ -58,13 +58,13 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         s = 0.5 * cc.min(axis=1)
 
         m = np.maximum(s[labels], low)
-        suspect = np.flatnonzero(u > m)
+        suspect = np.flatnonzero(u >= m)
         if len(suspect):
             # Tighten u with one exact distance to the assigned centroid.
             du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
             n_dist += len(suspect)
             u[suspect] = du
-            still = suspect[du > m[suspect]]
+            still = suspect[du >= m[suspect]]
             if len(still):
                 lab2, u2, low2 = _full_assign(X[still], C)
                 n_dist += len(still) * k

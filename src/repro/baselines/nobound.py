@@ -41,22 +41,23 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         # Each point is examined exactly once under its cluster at the start
         # of the pass; mutating `labels` inside the loop must not re-route it.
         for j in range(k):
-            nbr = np.flatnonzero((cc[j] < 2.0 * R[j]) & (np.arange(k) != j))
+            nbr = np.flatnonzero((cc[j] <= 2.0 * R[j]) & (np.arange(k) != j))
             rows = np.flatnonzero(old_labels == j)
             if len(rows) == 0 or len(nbr) == 0:
                 continue
             # Stable area: closer than half the nearest neighbor-centroid
             # distance -> provably still nearest to c_j.
             stable_r = 0.5 * cc[j, nbr].min()
-            ann = rows[u[rows] > stable_r]
+            ann = rows[u[rows] >= stable_r]
             if len(ann) == 0:
                 continue
             dm = dist(X[ann], C[nbr])
             n_dist += len(ann) * len(nbr)
             jloc = np.argmin(dm, axis=1)
             dbest = dm[np.arange(len(ann)), jloc]
-            win = dbest < u[ann]
-            labels[ann[win]] = nbr[jloc[win]]
+            jbest = nbr[jloc]
+            win = (dbest < u[ann]) | ((dbest == u[ann]) & (jbest < j))
+            labels[ann[win]] = jbest[win]
         return AssignStats.of(X, labels, old_labels, k, n_dist)
 
     return iterate(C0, assign, max_iter).result(labels, memory_floats=k * k + 2 * n)

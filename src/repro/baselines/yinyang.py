@@ -67,28 +67,29 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         lg = np.maximum(lg - gd[None, :], 0.0)
 
         n_dist = 0
-        suspect = np.flatnonzero(u > lg.min(axis=1))
+        suspect = np.flatnonzero(u >= lg.min(axis=1))
         if len(suspect):
             du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
             n_dist += len(suspect)
             u[suspect] = du
-            still = suspect[du > lg[suspect].min(axis=1)]
+            still = suspect[du >= lg[suspect].min(axis=1)]
             for g in range(G):
                 if not len(members[g]):
                     continue
-                rows = still[lg[still, g] < u[still]]
+                rows = still[lg[still, g] <= u[still]]
                 if not len(rows):
                     continue
                 dm = dist(X[rows], C[members[g]])
                 n_dist += len(rows) * len(members[g])
                 jloc = np.argmin(dm, axis=1)
                 dbest = dm[np.arange(len(rows)), jloc]
-                win = dbest < u[rows]
+                jbest = members[g][jloc]
+                win = (dbest < u[rows]) | ((dbest == u[rows]) & (jbest < labels[rows]))
                 rw = rows[win]
                 if len(rw):
                     old_lab = labels[rw]
                     old_u = u[rw]
-                    labels[rw] = members[g][jloc[win]]
+                    labels[rw] = jbest[win]
                     u[rw] = dbest[win]
                     # The dethroned centroid becomes a candidate again:
                     # its exact distance (old u) tightens — but must not

@@ -6,6 +6,9 @@ f = 30, C++ at n = 1e6 (0.43e6 for 3D-RD, 0.5e6 for embeddings). Scaled
 here: n = SCALE_N (Table III proportions preserved), k in {16, 64, 256},
 10 iterations. Besides wall-clock we record the paper's machine-
 independent pruning-power signal: exact distance-computation counts.
+Each cell also records the extra memory the algorithm keeps beyond the
+dataset (float slots and MB), so the Fig. 9 analog is the ``memory_mb``
+column of this grid at one k.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import time
 from repro import datasets
 from repro.algorithms import ALGORITHMS, TABLE4_ORDER
 from repro.core import init as cinit
+from repro.estimator.memory import floats_to_mb
 
 SCALE_N = 20_000
 KS = (16, 64, 256)
@@ -33,6 +37,7 @@ def run_cell(name: str, k: int, algo: str, *, base_n: int = SCALE_N,
         "dataset": name, "k": k, "algo": algo, "n": n,
         "time_s": wall, "n_dist": r.n_dist, "n_iter": r.n_iter,
         "memory_floats": r.memory_floats,
+        "memory_mb": floats_to_mb(r.memory_floats),
         "init_time_s": r.init_time,
     }
 
@@ -66,6 +71,6 @@ def format_table(rows: list[dict], metric: str = "time_s") -> str:
             for a in algos:
                 r = by.get((name, k, a))
                 v = r[metric] if r else float("nan")
-                cells.append(f"{v:12.2f}" if metric == "time_s" else f"{v:12,d}")
+                cells.append(f"{v:12.2f}" if isinstance(v, float) else f"{v:12,d}")
             lines.append(f"{name:<10s} {k:>5d} " + " ".join(cells))
     return "\n".join(lines)

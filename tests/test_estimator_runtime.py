@@ -137,3 +137,16 @@ def test_predict_iters_nonnegative():
     nlr = PerIterationNLR(beta=3).fit(train)
     pred = nlr.predict_iters(train[0].features(), 20)
     assert (pred >= 0).all()
+
+
+def test_fig11_estimator_competitive_on_cached_samples():
+    """Fig. 11 on the committed 200-task sample set: the paper's estimator
+    (beta=4, interaction features) is within 2x of the best competitor's
+    MSE. The abstract claims up to 33.3% below SOTA; at this scale we
+    only require it to be competitive."""
+    from repro.experiments import fig11
+
+    rows = fig11.run()
+    ours = next(r["MSE"] for r in rows if r["model"] == "Dask-means")
+    best_other = min(r["MSE"] for r in rows if r["model"] != "Dask-means")
+    assert ours <= 2.0 * best_other

@@ -129,3 +129,22 @@ def test_duplicated_init_centroids(algo):
     r = ALGORITHMS[algo](X, C0, 8)
     assert (r.labels == ref.labels).all()
     np.testing.assert_allclose(r.centroids, ref.centroids, atol=1e-8)
+
+
+@pytest.mark.parametrize("algo", ACCELERATED)
+@pytest.mark.parametrize("X, C0", [
+    ([[3, 4], [1, 2], [4, 2], [2, 4], [4, 4]], [[2, 4], [3, 4], [4, 4]]),
+    ([[4, 2], [4, 1], [4, 4], [1, 2]], [[4, 1], [4, 2], [1, 2]]),
+    # two of Drake's cached candidates tie, the higher id in the earlier slot
+    ([[2, 0], [2, 1], [1, 3], [0, 0], [1, 1], [1, 1], [3, 0]],
+     [[4, 0], [4, 1], [3, 3], [3, 3], [1, 0], [1, 2], [3, 1]]),
+], ids=["tie-a", "tie-b", "tie-c"])
+def test_exact_tie_after_refinement(algo, X, C0):
+    """After the first refinement a point sits exactly as near a lower-id
+    centroid as its own one (and, in tie-a/tie-b, exactly on the pruning
+    bounds): it must move to the lowest such id, as in Lloyd."""
+    X, C0 = np.array(X, dtype=float), np.array(C0, dtype=float)
+    ref = lloyd.fit(X, C0, 2)
+    r = ALGORITHMS[algo](X, C0, 2)
+    assert (r.labels == ref.labels).all()
+    np.testing.assert_allclose(r.centroids, ref.centroids, atol=1e-12)

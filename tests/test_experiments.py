@@ -57,6 +57,9 @@ def test_table7_run_and_format():
     # more memory (smaller f) -> at least as many pruned vectors, typically
     pruned = [r["pruned_vectors"] for r in rows if r["k"] == 8]
     assert pruned[-1] >= pruned[0] * 0.5
+    # the index Eq. 12 sizes from each budget stays inside that budget
+    for r in rows:
+        assert r["actual_mb"] <= r["budget_mb"]
     assert "15MB-eq" in table7.format_table(rows)
 
 

@@ -1,16 +1,17 @@
-"""Smoke + shape tests for the supplementary Fig. 9 / Fig. 14 harnesses."""
+"""Smoke + shape tests for the supplementary Fig. 9 (the memory column of
+the Table IV grid) and Fig. 14 harnesses."""
 import numpy as np
 import pytest
 
-from repro.experiments import fig9, fig14
+from repro.experiments import fig14, table4
 
 
 def test_fig9_rows_and_ordering():
-    rows = fig9.run(["tdrive"], base_n=2000, k=64, max_iter=3)
+    rows = table4.run(["tdrive"], ks=(64,), base_n=2000, max_iter=3)
     by = {r["algo"]: r["memory_floats"] for r in rows}
     assert by["Elkan"] > by["Drake"] > by["Yinyang"] > by["Dask-means"]
     assert by["Lloyd"] == min(by.values())
-    assert "tdrive" in fig9.format_table(rows)
+    assert "tdrive" in table4.format_table(rows, "memory_mb")
 
 
 @pytest.fixture(scope="module")
