@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+    AssignStats, KMeansResult, beats, check_centroids, check_points, dist, iterate, pair_dist,
 )
 
 
@@ -72,7 +72,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         guard = np.minimum(cand_lb.min(axis=1), rest_lb)
         suspect = np.flatnonzero(u >= guard)
         if len(suspect):
-            du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
+            du = pair_dist(X[suspect], C[labels[suspect]])
             n_dist += len(suspect)
             u[suspect] = du
             still = suspect[du >= guard[suspect]]
@@ -81,10 +81,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
             # out-of-cache centroid may tie with a lower id).
             incache = still[u[still] < rest_lb[still]]
             if len(incache):
-                pc = C[cand[incache]]                    # (m, b, d)
-                dc = np.sqrt(
-                    ((X[incache, None, :] - pc) ** 2).sum(2)
-                )
+                dc = pair_dist(X[incache, None, :], C[cand[incache]])  # (m, b)
                 n_dist += len(incache) * b
                 cand_lb[incache] = dc
                 # Nearest cached candidate, the lowest id among ties.
@@ -92,9 +89,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 ids = cand[incache]
                 jbest = np.where(dc == dbest[:, None], ids, k).argmin(axis=1)
                 idbest = ids[np.arange(len(incache)), jbest]
-                win = (dbest < u[incache]) | (
-                    (dbest == u[incache]) & (idbest < labels[incache])
-                )
+                win = beats(dbest, idbest, u[incache], labels[incache])
                 rowsw = incache[win]
                 # Swap: the winning cached centroid becomes the label and
                 # the dethroned label takes its cache slot (with its

@@ -25,7 +25,9 @@ import numpy as np
 from repro.baselines.lloyd import assign_labels
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER
-from repro.core.result import AssignStats, KMeansResult, check_centroids, check_points, iterate
+from repro.core.result import (
+    AssignStats, KMeansResult, check_centroids, check_points, inflate, iterate,
+)
 from repro.estimator.memory import measured_floats
 
 
@@ -89,11 +91,12 @@ def fit(
             if aN != NO_CLUSTER:
                 ub = ub_set[node] + (cum_drift[aN] - set_cum_a[node])
                 lb = lb_set[node] - (cum_max - set_cum_max[node])
-                if ub < lb:
+                if inflate(ub) < lb:
                     # Whole subtree provably keeps its cluster: zero dists.
                     batch_assign(node, aN)
                     continue
 
+            # Subtractive: pivot distances only feed the guarded bounds.
             dd = np.sqrt(((C - pv) ** 2).sum(1))
             stats.n_dist += k
             if k >= 2:
@@ -104,7 +107,7 @@ def fit(
             else:
                 i1, d1, d2 = 0, float(dd[0]), np.inf
 
-            if d2 - d1 > 2.0 * r:
+            if d2 > inflate(d1 + 2.0 * r):
                 batch_assign(node, int(i1))
                 ub_set[node] = d1 + r
                 lb_set[node] = d2 - r

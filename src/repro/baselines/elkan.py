@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+    AssignStats, KMeansResult, beats, check_centroids, check_points, dist, iterate, pair_dist,
 )
 
 
@@ -65,7 +65,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 stale = cond & ~tight
                 if stale.any():
                     rows = np.flatnonzero(stale)
-                    du = np.sqrt(((X[rows] - C[labels[rows]]) ** 2).sum(1))
+                    du = pair_dist(X[rows], C[labels[rows]])
                     n_dist += len(rows)
                     u[rows] = du
                     low[rows, labels[rows]] = du
@@ -74,10 +74,10 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 rows = np.flatnonzero(cond)
                 if len(rows) == 0:
                     continue
-                dj = np.sqrt(((X[rows] - C[j]) ** 2).sum(1))
+                dj = pair_dist(X[rows], C[j])
                 n_dist += len(rows)
                 low[rows, j] = dj
-                better = (dj < u[rows]) | ((dj == u[rows]) & (j < labels[rows]))
+                better = beats(dj, j, u[rows], labels[rows])
                 if better.any():
                     rb = rows[better]
                     labels[rb] = j

@@ -11,23 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate, pair_dist,
 )
 
 
 def _full_assign(X, C):
+    """Lowest-id nearest centroid, its distance, and the distance to the
+    nearest other centroid (inf for k = 1)."""
     d = dist(X, C)
-    if len(C) == 1:
-        return np.zeros(len(X), dtype=np.int64), d[:, 0], np.full(len(X), np.inf)
-    part = np.argpartition(d, 1, axis=1)[:, :2]
     rows = np.arange(len(X))
-    d0 = d[rows, part[:, 0]]
-    d1 = d[rows, part[:, 1]]
-    swap = d1 < d0
-    lab = np.where(swap, part[:, 1], part[:, 0])
-    u = np.where(swap, d1, d0)
-    low = np.where(swap, d0, d1)
-    return lab, u, low
+    lab = np.argmin(d, axis=1)
+    u = d[rows, lab]
+    d[rows, lab] = np.inf
+    return lab, u, d.min(axis=1)
 
 
 def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
@@ -61,7 +57,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         suspect = np.flatnonzero(u >= m)
         if len(suspect):
             # Tighten u with one exact distance to the assigned centroid.
-            du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
+            du = pair_dist(X[suspect], C[labels[suspect]])
             n_dist += len(suspect)
             u[suspect] = du
             still = suspect[du >= m[suspect]]

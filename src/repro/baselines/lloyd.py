@@ -1,9 +1,9 @@
 """Lloyd's algorithm [39] — the exactness and cost reference.
 
 Full n x k distance evaluation per iteration, no extra memory beyond the
-label array. Distances are computed blockwise with the BLAS expansion
-||x - c||^2 = ||x||^2 + ||c||^2 - 2 x.c so the n x k matrix never exceeds
-the block budget.
+label array. Distances are ``result.dist`` (the BLAS expansion
+||x||^2 + ||c||^2 - 2 x.c), computed blockwise so the n x k matrix never
+exceeds the block budget.
 """
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from repro.core.result import KMeansResult, check_centroids, check_points, refine_centroids
+from repro.core.result import KMeansResult, check_centroids, check_points, dist, refine_centroids
 
-_BLOCK_FLOATS = 8_000_000  # ~64 MB of n x k distance matrix per block
+_BLOCK_FLOATS = 1 << 18  # 2 MB of n x k distances per block: the passes stay in cache
 
 
 def assign_labels(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -22,11 +22,8 @@ def assign_labels(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     k = len(C)
     block = max(1, _BLOCK_FLOATS // max(1, k))
     out = np.empty(n, dtype=np.int64)
-    c_sq = (C * C).sum(axis=1)
     for s in range(0, n, block):
-        xb = X[s : s + block]
-        d2 = (xb * xb).sum(axis=1)[:, None] + c_sq[None, :] - 2.0 * (xb @ C.T)
-        out[s : s + block] = np.argmin(d2, axis=1)
+        out[s : s + block] = np.argmin(dist(X[s : s + block], C), axis=1)
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.lloyd import assign_labels
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+    AssignStats, KMeansResult, beats, check_centroids, check_points, dist, iterate, pair_dist,
 )
 
 
@@ -33,7 +33,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         cc = dist(C, C)
         # Every point's distance to its (moved) centroid — the per-point
         # work NoBound always pays.
-        u = np.sqrt(((X - C[labels]) ** 2).sum(1))
+        u = pair_dist(X, C[labels])
         n_dist = k * k + n
         # Ball radii and neighbor sets from the k x k matrix.
         R = np.zeros(k)
@@ -56,7 +56,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
             jloc = np.argmin(dm, axis=1)
             dbest = dm[np.arange(len(ann)), jloc]
             jbest = nbr[jloc]
-            win = (dbest < u[ann]) | ((dbest == u[ann]) & (jbest < j))
+            win = beats(dbest, jbest, u[ann], j)
             labels[ann[win]] = jbest[win]
         return AssignStats.of(X, labels, old_labels, k, n_dist)
 

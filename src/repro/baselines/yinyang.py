@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core import init as cinit
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, dist, iterate,
+    AssignStats, KMeansResult, beats, check_centroids, check_points, dist, iterate, pair_dist,
 )
 
 
@@ -69,7 +69,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         n_dist = 0
         suspect = np.flatnonzero(u >= lg.min(axis=1))
         if len(suspect):
-            du = np.sqrt(((X[suspect] - C[labels[suspect]]) ** 2).sum(1))
+            du = pair_dist(X[suspect], C[labels[suspect]])
             n_dist += len(suspect)
             u[suspect] = du
             still = suspect[du >= lg[suspect].min(axis=1)]
@@ -84,29 +84,17 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 jloc = np.argmin(dm, axis=1)
                 dbest = dm[np.arange(len(rows)), jloc]
                 jbest = members[g][jloc]
-                win = (dbest < u[rows]) | ((dbest == u[rows]) & (jbest < labels[rows]))
+                win = beats(dbest, jbest, u[rows], labels[rows])
                 rw = rows[win]
-                if len(rw):
-                    old_lab = labels[rw]
-                    old_u = u[rw]
-                    labels[rw] = jbest[win]
-                    u[rw] = dbest[win]
-                    # The dethroned centroid becomes a candidate again:
-                    # its exact distance (old u) tightens — but must not
-                    # raise — its group's lower bound.
-                    np.minimum.at(lg, (rw, group[old_lab]), old_u)
-                    # New bound for the scanned group: second-best there.
-                    if dm.shape[1] > 1:
-                        dm_win = dm[win]
-                        dm_win[np.arange(len(rw)), jloc[win]] = np.inf
-                        lg[rw, g] = dm_win.min(axis=1)
-                    else:
-                        lg[rw, g] = np.inf
-                lose = rows[~win]
-                if len(lose):
-                    # Min over the group is a valid lower bound whether or
-                    # not the assigned centroid belongs to it.
-                    lg[lose, g] = dbest[~win]
+                # The dethroned centroid becomes a candidate again: its
+                # exact distance (old u) tightens — but must not raise —
+                # its group's lower bound.
+                np.minimum.at(lg, (rw, group[labels[rw]]), u[rw])
+                labels[rw] = jbest[win]
+                u[rw] = dbest[win]
+                # New bound for the scanned group: its nearest centroid
+                # other than the (possibly new) label.
+                lg[rows, g] = np.where(members[g] == labels[rows][:, None], np.inf, dm).min(1)
         return AssignStats.of(X, labels, old_labels, k, n_dist)
 
     return iterate(C0, assign, max_iter).result(

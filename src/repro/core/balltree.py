@@ -101,7 +101,7 @@ def build(X: np.ndarray, f: int) -> BallTree:
         node = len(pivot)
         pts = X[idx[s:e]]
         mu = pts.mean(axis=0)
-        diff = pts - mu
+        diff = pts - mu  # subtractive: the radius feeds inflated bounds only
         pivot.append(mu)
         radius.append(float(np.sqrt((diff * diff).sum(axis=1).max())) if e > s else 0.0)
         start.append(s)

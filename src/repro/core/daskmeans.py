@@ -67,22 +67,15 @@ import numpy as np
 from repro.core import balltree as bt
 from repro.core.balltree import NO_CLUSTER, BallTree
 from repro.core.result import (
-    AssignStats, KMeansResult, check_centroids, check_points, iterate,
+    AssignStats, KMeansResult, check_centroids, check_points, dist, inflate, iterate,
 )
 from repro.estimator import memory
-
-_EPS = 1e-9
 
 #: Most floats one vectorized distance block holds (a block of gathered
 #: difference vectors, or a block of points against their candidates),
 #: and most list entries one batch of a frontier holds. This bounds the
 #: walks' working memory whatever n, k and d are.
 _BLOCK_FLOATS = 1 << 16
-
-
-def _inflate(ub):
-    """Guard comparisons against exact ties at the bound."""
-    return ub * (1.0 + 1e-12) + _EPS
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -92,7 +85,9 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _pair_dist(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """``||A[ia[i]] - B[ib[i]]||`` for every i, gathered block by block."""
+    """``||A[ia[i]] - B[ib[i]]||`` for every i, gathered block by block.
+    Subtractive (cheaper on gathered rows): it yields pivot and inter-bound
+    distances, always compared through ``inflate``, never a label."""
     out = np.empty(len(ia))
     step = max(1, _BLOCK_FLOATS // A.shape[1])
     for s in range(0, len(ia), step):
@@ -215,7 +210,7 @@ def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
         bound = d2 + 2.0 * r
         if node_ub is not None:
             bound = np.minimum(bound, node_ub[level.nodes] + r)
-        level = level.keep(D <= _inflate(bound)[level.owner])
+        level = level.keep(D <= inflate(bound)[level.owner])
         leaf = ctree.is_leaf(level.nodes)
         leaves = level.take(np.flatnonzero(leaf))
         queries, own = leaves.points(ctree)
@@ -250,7 +245,7 @@ def _kept(P, prev, r, C, cb, stats: AssignStats) -> np.ndarray:
     has = np.flatnonzero(prev != NO_CLUSTER)
     dprev = _pair_dist(P, has, C, prev[has])
     stats.n_dist += len(has)
-    return has[_inflate(dprev + r[has]) < cb[prev[has]] / 2.0]
+    return has[inflate(dprev + r[has]) < cb[prev[has]] / 2.0]
 
 
 def assign_pass(
@@ -292,7 +287,7 @@ def assign_pass(
         stats.n_dist += len(D)
         # Only centroids within d1 + 2r of the pivot can be nearest to a
         # point of the node. Eq. 6: n1 is the only one -> batch-assign.
-        reach = _inflate(d1 + 2.0 * r)
+        reach = inflate(d1 + 2.0 * r)
         gap = d2 > reach
         batch_nodes.append(nodes[gap])
         batch_ids.append(n1[gap])
@@ -357,18 +352,17 @@ def _assign_leaves(tree, C, cb, labels, leaves: _Lists, stats) -> None:
 
 def _argmin_lists(P: np.ndarray, own: np.ndarray, lists: _Lists, C: np.ndarray) -> np.ndarray:
     """Lowest-id nearest centroid of each point ``P[i]`` among the list of
-    node ``own[i]`` (``own`` ascending). One matmul over the union of the
-    lists involved (the expansion ||x||^2 + ||c||^2 - 2 x.c, as in Lloyd);
-    entries outside a point's own list are masked out."""
+    node ``own[i]`` (``own`` ascending). One ``dist`` matrix over the union
+    of the lists involved, as in Lloyd; entries outside a point's own list
+    are masked out."""
     lo, hi = own[0], own[-1] + 1
     a, b = lists.ptr[lo], lists.ptr[hi]
     U, col = np.unique(lists.ids[a:b], return_inverse=True)
     member = np.zeros((hi - lo, len(U)), dtype=bool)
     member[np.repeat(np.arange(hi - lo), lists.lens[lo:hi]), col] = True
-    CU = C[U]
-    d2 = (P * P).sum(axis=1)[:, None] + (CU * CU).sum(axis=1)[None, :] - 2.0 * P @ CU.T
-    d2[~member[own - lo]] = np.inf
-    return U[np.argmin(d2, axis=1)]
+    D = dist(P, C[U])
+    D[~member[own - lo]] = np.inf
+    return U[np.argmin(D, axis=1)]
 
 
 @dataclass

@@ -27,7 +27,7 @@ def kmeanspp_init(X: np.ndarray, k: int, *, seed: int = 0) -> np.ndarray:
     g = np.random.default_rng(seed)
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[g.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)  # sampling weights, no label decision
     for j in range(1, k):
         p = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centroids[j] = X[g.choice(n, p=p)]

@@ -1,5 +1,5 @@
-"""Common result type, input contract and iteration loop of every k-means
-implementation.
+"""Common result type, input contract, label rules and iteration loop of
+every k-means implementation.
 
 All algorithms in the comparison are exact accelerations of Lloyd's
 algorithm, so they share one contract:
@@ -10,12 +10,15 @@ algorithm, so they share one contract:
 * an iteration = assignment + refinement; convergence = no label changed
   during the iteration (then centroids cannot move either);
 * empty clusters keep their previous centroid;
+* one distance, one tie rule, one guard: every label decision compares
+  :func:`dist` (matrix) or :func:`pair_dist` (row pairs) values, which
+  round alike (bit for bit in low d), so equal distances compare equal;
+  the lowest id wins a tie (first-minimum argmins, :func:`beats`); a bound
+  built from other numbers (pivot distances, radii, drift) prunes only
+  after :func:`inflate`, so rounding cannot make a tie at the bound prune;
 * ``n_dist`` counts every d-dimensional Euclidean distance evaluation the
   algorithm performs (point-centroid, pivot-centroid, centroid-centroid,
-  …). This is the machine-independent "pruning power" metric used in
-  EXPERIMENTS.md next to wall-clock, because the paper's C++ scalar
-  baseline and our NumPy/BLAS baselines have very different constant
-  factors.
+  …), the machine-independent "pruning power" metric of EXPERIMENTS.md.
 
 They differ only in how they assign points, so the nine accelerated
 algorithms (Dask-means and its two ablations, locally and on Spark,
@@ -84,7 +87,24 @@ def dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(len(X), len(C)) Euclidean distances by the BLAS expansion
     ||x||^2 + ||c||^2 - 2 x.c, clipped at 0 against rounding."""
     d2 = (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * X @ C.T
+    return np.sqrt(np.maximum(d2, 0, out=d2), out=d2)
+
+
+def pair_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``||A[i] - B[i]||`` over the last (broadcast) axis, rounded as :func:`dist`."""
+    d2 = (A * A).sum(-1) + (B * B).sum(-1) - 2 * (A * B).sum(-1)
     return np.sqrt(np.maximum(d2, 0))
+
+
+def beats(d, j, u, label):
+    """The tie rule: centroid ``j`` at ``d`` beats ``label`` at ``u`` when
+    nearer, or as near with a lower id."""
+    return (d < u) | ((d == u) & (j < label))
+
+
+def inflate(ub):
+    """Guard a bound prune against exact ties at the bound."""
+    return ub * (1.0 + 1e-12) + 1e-9
 
 
 def cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +203,7 @@ def iterate(C: np.ndarray, assign, max_iter: int) -> LoopResult:
 
         labels_C = C
         C = refine_from_sums(labels_C, stats.sv, stats.cnt)
+        # Subtractive: drift only loosens bounds and decides no label.
         drift = np.sqrt(((C - labels_C) ** 2).sum(axis=1))
         n_dist += k
         iter_times.append(time.perf_counter() - t_iter)

@@ -90,7 +90,7 @@ PINNED_COUNTERS = {
     "Dual-tree": (389824, 9908, 8, 17299),
     "Hamerly": (224097, 0, 8, 7024),
     "Drake": (149980, 0, 8, 36000),
-    "Yinyang": (199437, 0, 8, 10032),
+    "Yinyang": (179353, 0, 8, 10032),
     "Elkan": (79881, 0, 8, 69024),
 }
 

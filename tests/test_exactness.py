@@ -13,6 +13,7 @@ from repro import datasets
 from repro.algorithms import ALGORITHMS
 from repro.baselines import lloyd
 from repro.core import init as cinit
+from repro.core.result import dist, pair_dist
 
 ACCELERATED = [a for a in ALGORITHMS if a != "Lloyd"]
 
@@ -148,3 +149,48 @@ def test_exact_tie_after_refinement(algo, X, C0):
     r = ALGORITHMS[algo](X, C0, 2)
     assert (r.labels == ref.labels).all()
     np.testing.assert_allclose(r.centroids, ref.centroids, atol=1e-12)
+
+
+#: Trials of :func:`tie_trials` on which some baseline once disagreed with
+#: Lloyd, by dimension: a near-tie that two distance formulas rounded apart,
+#: or a tie exactly at a bound.
+TIE_TRIALS = {
+    2: [5, 29, 56, 146, 152, 508, 903, 1228, 1937],
+    3: [10, 245, 382, 530, 586, 785, 817, 848],
+}
+
+
+def tie_trials(D):
+    """Tie-heavy inputs in D dimensions: 60 points on a half-integer grid
+    and 2-11 integer centroids, the upper half repeating the lower half.
+    Yields (trial, X, C0) for the trials listed in ``TIE_TRIALS[D]``."""
+    rng = np.random.default_rng(0)
+    for t in range(max(TIE_TRIALS[D]) + 1):
+        k = rng.integers(2, 12)
+        C = rng.integers(0, 4, (k, D)).astype(float)
+        C[k // 2:] = C[: k - k // 2]
+        X = rng.integers(0, 8, (60, D)) / 2
+        if t in TIE_TRIALS[D]:
+            yield t, X, C
+
+
+@pytest.mark.parametrize("algo", ACCELERATED)
+def test_matches_lloyd_on_ties(algo):
+    """Equal distances compare equal in every algorithm: each label decision
+    uses ``result.dist``/``pair_dist`` and the lowest id wins a tie."""
+    for D in TIE_TRIALS:
+        for t, X, C0 in tie_trials(D):
+            ref = lloyd.fit(X, C0, 3)
+            r = ALGORITHMS[algo](X, C0, 3)
+            assert (r.labels == ref.labels).all(), (D, t)
+            np.testing.assert_allclose(r.centroids, ref.centroids, atol=1e-12, err_msg=f"{D} {t}")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_dist_bit_identical_to_dist(d):
+    """The row-pair and the matrix distance round alike in low d, so a
+    baseline's tightened upper bound equals Lloyd's value exactly."""
+    g = np.random.default_rng(d)
+    X, C = g.normal(size=(5000, d)), g.normal(size=(300, d))
+    lab = g.integers(0, 300, 5000)
+    np.testing.assert_array_equal(pair_dist(X, C[lab]), dist(X, C)[np.arange(5000), lab])
