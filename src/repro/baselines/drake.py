@@ -114,4 +114,5 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
                 rest_lb[full] = rl
         return AssignStats.of(X, labels, old_labels, k, n_dist)
 
-    return iterate(C0, assign, max_iter).result(labels, memory_floats=2 * n * b + 2 * n)
+    # cand and cand_lb (n x b each); u, rest_lb and labels (n each).
+    return iterate(C0, assign, max_iter).result(labels, memory_floats=2 * n * b + 3 * n)

@@ -12,9 +12,9 @@ to index-based algorithms.
 
 Simplification vs [50]: the original uses kd/cover-trees with <= 2
 points per leaf and also groups centroids; we keep one point Ball-tree
-(small leaf capacity, default f=4 to mirror the tiny-leaf memory profile
-that Fig. 9 shows) and the node-level Hamerly bounds. Exact drop-in for
-Lloyd from the same init.
+(leaf capacity ``LEAF_CAPACITY`` = 4, to mirror the tiny-leaf memory
+profile that Fig. 9 shows) and the node-level Hamerly bounds. Exact
+drop-in for Lloyd from the same init.
 """
 from __future__ import annotations
 
@@ -30,21 +30,18 @@ from repro.core.result import (
 )
 from repro.estimator.memory import measured_floats
 
+#: Leaf capacity of the point Ball-tree.
+LEAF_CAPACITY = 4
 
-def fit(
-    X: np.ndarray,
-    init_centroids: np.ndarray,
-    max_iter: int = 20,
-    *,
-    f: int = 4,
-) -> KMeansResult:
+
+def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeansResult:
     X = check_points(X)
     n, d = X.shape
     C0 = check_centroids(init_centroids, d)
     k = len(C0)
 
     t0 = time.perf_counter()
-    tree = bt.build(X, f)
+    tree = bt.build(X, LEAF_CAPACITY)
     m = tree.n_nodes
     init_time = time.perf_counter() - t0
 
@@ -133,6 +130,5 @@ def fit(
         return stats
 
     return iterate(C0, assign, max_iter).result(
-        labels, init_time=init_time,
-        memory_floats=measured_floats(tree) + 4 * m + n, extra={"f": f},
+        labels, init_time=init_time, memory_floats=measured_floats(tree) + 4 * m + n,
     )

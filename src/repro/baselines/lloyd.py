@@ -35,6 +35,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
     labels = np.full(n, -1, dtype=np.int64)
     n_dist = 0
     iter_times: list[float] = []
+    labels_C = C
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -42,14 +43,14 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         new_labels = assign_labels(X, C)
         n_dist += n * k
         changed = (new_labels != labels).any()
-        labels = new_labels
+        labels, labels_C = new_labels, C
         C = refine_centroids(X, labels, C)
         iter_times.append(time.perf_counter() - t0)
         if not changed:
             converged = True
             break
     return KMeansResult(
-        centroids=C, labels=labels, n_iter=it, converged=converged,
-        iter_times=iter_times, n_dist=n_dist,
+        centroids=C, labels_centroids=labels_C, n_iter=it, converged=converged,
+        iter_times=iter_times, n_dist=n_dist, pruned_vectors=0, labels=labels,
         memory_floats=n,  # the label array
     )

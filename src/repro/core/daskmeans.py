@@ -237,15 +237,18 @@ def _scan_cb(C, lists: _Lists, own, queries, cb) -> int:
 
 
 def _kept(P, prev, r, C, cb, stats: AssignStats) -> np.ndarray:
-    """Eq. 4/5: the positions i whose ball of radius ``r[i]`` around
-    ``P[i]`` provably stays with its recorded cluster ``prev[i]``, at one
-    distance per recorded cluster. None without inter bounds (NoInB)."""
+    """Eq. 4/5: a mask of the positions i whose ball of radius ``r[i]``
+    around ``P[i]`` provably stays with its recorded cluster ``prev[i]``,
+    at one distance per recorded cluster. None hold without inter bounds
+    (NoInB)."""
+    kept = np.zeros(len(prev), dtype=bool)
     if cb is None:
-        return np.empty(0, dtype=np.int64)
+        return kept
     has = np.flatnonzero(prev != NO_CLUSTER)
     dprev = _pair_dist(P, has, C, prev[has])
     stats.n_dist += len(has)
-    return has[inflate(dprev + r[has]) < cb[prev[has]] / 2.0]
+    kept[has] = inflate(dprev + r[has]) < cb[prev[has]] / 2.0
+    return kept
 
 
 def assign_pass(
@@ -279,7 +282,7 @@ def assign_pass(
         hit = _kept(tree.pivot[nodes], aN, tree.radius[nodes], C, cb, stats)
         batch_nodes.append(nodes[hit])
         batch_ids.append(aN[hit])
-        level = level.take(np.setdiff1d(np.arange(len(nodes)), hit))
+        level = level.take(np.flatnonzero(~hit))
 
         nodes = level.nodes
         r = tree.radius[nodes]
@@ -335,12 +338,10 @@ def _assign_leaves(tree, C, cb, labels, leaves: _Lists, stats) -> None:
         rs, os_ = rows[s : s + step], own[s : s + step]
         pts, prev = X[rs], labels[rs]
         best = prev.copy()
-        todo = np.ones(len(rs), dtype=bool)
         # Eq. 4 is Eq. 5 at radius 0 (dprev + 0.0 is exact).
         kept = _kept(pts, prev, np.zeros(len(rs)), C, cb, stats)
-        stats.pruned_vectors += len(kept)
-        todo[kept] = False
-        rest = np.flatnonzero(todo)
+        stats.pruned_vectors += int(kept.sum())
+        rest = np.flatnonzero(~kept)
         if len(rest):
             best[rest] = _argmin_lists(pts[rest], os_[rest], leaves, C)
             stats.n_dist += int(leaves.lens[os_[rest]].sum())
@@ -433,7 +434,6 @@ def fit(
     return iterate(C, hook, max_iter).result(
         labels, init_time=init_time,
         memory_floats=memory.measured_total_floats(tree, hook.ctree, n),
-        extra={"f": f, "tree_height": tree.height, "tree_leaves": tree.n_leaves},
     )
 
 

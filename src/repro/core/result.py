@@ -18,7 +18,13 @@ algorithm, so they share one contract:
   after :func:`inflate`, so rounding cannot make a tie at the bound prune;
 * ``n_dist`` counts every d-dimensional Euclidean distance evaluation the
   algorithm performs (point-centroid, pivot-centroid, centroid-centroid,
-  …), the machine-independent "pruning power" metric of EXPERIMENTS.md.
+  …), the machine-independent "pruning power" metric of EXPERIMENTS.md;
+* one outcome type: every fit reports a :class:`LoopResult` — final
+  centroids, ``labels_centroids`` (the centroids its labels are the argmin
+  of), iterations, convergence, per-iteration times and both counters. A
+  local fit returns a :class:`KMeansResult`, which adds ``labels``,
+  ``init_time`` and ``memory_floats``; a Spark fit returns a
+  ``SparkKMeansResult``, which adds ``labels_df``.
 
 They differ only in how they assign points, so the nine accelerated
 algorithms (Dask-means and its two ablations, locally and on Spark,
@@ -31,33 +37,9 @@ compare every other algorithm, Spark Lloyd included, against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class KMeansResult:
-    """Outcome of one k-means run."""
-
-    centroids: np.ndarray        # (k, d) final centroids
-    labels: np.ndarray           # (n,) final assignment
-    n_iter: int                  # iterations executed
-    converged: bool
-    iter_times: list[float] = field(default_factory=list)  # seconds/iteration
-    init_time: float = 0.0       # one-off setup (index build, bound init)
-    n_dist: int = 0              # distance computations, total
-    pruned_vectors: int = 0      # vectors assigned in batch / kept via Eq.4-5
-    memory_floats: int = 0       # extra memory beyond the dataset, float slots
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def total_time(self) -> float:
-        return self.init_time + sum(self.iter_times)
-
-    def sse(self, X: np.ndarray) -> float:
-        """Sum of squared errors of the final clustering (Eq. 1)."""
-        return float(((X - self.centroids[self.labels]) ** 2).sum())
 
 
 def check_points(X: np.ndarray) -> np.ndarray:
@@ -157,26 +139,34 @@ class AssignStats:
 
 @dataclass
 class LoopResult:
-    """Outcome of :func:`iterate`; the labels stay with ``assign``'s state."""
+    """Outcome of the iteration loop, as every fit reports it."""
 
-    centroids: np.ndarray          # final (refined) centroids
+    centroids: np.ndarray          # (k, d) final (refined) centroids
     labels_centroids: np.ndarray   # centroids the final assignment used —
     # labels are the argmin w.r.t. *these* (assignment precedes the last
     # refinement), which is what oracle validation must check against
-    n_iter: int
+    n_iter: int                    # iterations executed
     converged: bool
-    iter_times: list[float]
-    n_dist: int
-    pruned_vectors: int
+    iter_times: list[float]        # seconds per iteration
+    n_dist: int                    # distance computations, total
+    pruned_vectors: int            # vectors assigned in batch / kept via Eq. 4-5
 
     def result(self, labels: np.ndarray, **kw) -> KMeansResult:
-        """The local fit's result: this outcome plus ``labels`` and the
-        fit's own fields (``memory_floats``, ``init_time``, ``extra``)."""
-        return KMeansResult(
-            centroids=self.centroids, labels=labels, n_iter=self.n_iter,
-            converged=self.converged, iter_times=self.iter_times, n_dist=self.n_dist,
-            pruned_vectors=self.pruned_vectors, **kw,
-        )
+        """The local fit's result: this outcome plus ``labels`` and ``kw``."""
+        return KMeansResult(**vars(self), labels=labels, **kw)
+
+
+@dataclass
+class KMeansResult(LoopResult):
+    """Outcome of one local k-means run: the loop's outcome plus labels."""
+
+    labels: np.ndarray             # (n,) final assignment
+    init_time: float = 0.0         # one-off setup (index build, bound init)
+    memory_floats: int = 0         # extra memory beyond the dataset, float slots
+
+    def sse(self, X: np.ndarray) -> float:
+        """Sum of squared errors of the final clustering (Eq. 1)."""
+        return float(((X - self.centroids[self.labels]) ** 2).sum())
 
 
 def iterate(C: np.ndarray, assign, max_iter: int) -> LoopResult:

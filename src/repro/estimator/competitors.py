@@ -22,6 +22,11 @@ import numpy as np
 
 from repro.estimator.features import Standardizer
 
+#: The paper's fixed settings: GBT tree depth, shrinkage and least samples
+#: per leaf; MLP hidden-layer widths.
+GBT_MAX_DEPTH, GBT_LR, GBT_MIN_LEAF = 5, 0.1, 2
+MLP_HIDDEN = (128, 64)
+
 
 class RidgeRegressor:
     """AutoML-lite: standardized ridge regression, lambda = 0.1."""
@@ -46,16 +51,14 @@ class RidgeRegressor:
 class _Tree:
     """One regression tree grown greedily on squared error."""
 
-    def __init__(self, max_depth: int, min_leaf: int, feat_ids: np.ndarray):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+    def __init__(self, feat_ids: np.ndarray):
         self.feat_ids = feat_ids
         self.nodes: list[tuple] = []  # (feat, thr, left, right) or (None, value)
 
     def _grow(self, X, y, depth) -> int:
         node_id = len(self.nodes)
         self.nodes.append(None)
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.ptp(y) == 0:
+        if depth >= GBT_MAX_DEPTH or len(y) < 2 * GBT_MIN_LEAF or np.ptp(y) == 0:
             self.nodes[node_id] = (None, float(y.mean()), -1, -1)
             return node_id
         best = None
@@ -68,7 +71,7 @@ class _Tree:
             csq = np.cumsum(ys_s**2)
             total, total_sq = csum[-1], csq[-1]
             m = len(y)
-            idxs = np.arange(self.min_leaf, m - self.min_leaf + 1)
+            idxs = np.arange(GBT_MIN_LEAF, m - GBT_MIN_LEAF + 1)
             if len(idxs) == 0:
                 continue
             # skip split points between equal feature values
@@ -117,20 +120,9 @@ class _Tree:
 class GBTRegressor:
     """XGBoost-lite: boosted regression trees on squared loss."""
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth: int = 5,
-        lr: float = 0.1,
-        colsample: float = 0.3,
-        min_leaf: int = 2,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 100, colsample: float = 0.3, seed: int = 0):
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.lr = lr
         self.colsample = colsample
-        self.min_leaf = min_leaf
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBTRegressor":
@@ -142,30 +134,23 @@ class GBTRegressor:
         self.trees_: list[_Tree] = []
         for _ in range(self.n_trees):
             feat_ids = g.choice(d, size=n_cols, replace=False)
-            t = _Tree(self.max_depth, self.min_leaf, feat_ids).fit(X, resid)
+            t = _Tree(feat_ids).fit(X, resid)
             pred = t.predict(X)
-            resid = resid - self.lr * pred
+            resid = resid - GBT_LR * pred
             self.trees_.append(t)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.full(len(X), self.base_)
         for t in self.trees_:
-            out += self.lr * t.predict(X)
+            out += GBT_LR * t.predict(X)
         return out
 
 
 class MLPRegressor:
     """DisNet-lite: 128-64 ReLU MLP trained with Adam on standardized data."""
 
-    def __init__(
-        self,
-        hidden: tuple[int, int] = (128, 64),
-        lr: float = 1e-4,
-        epochs: int = 1000,
-        seed: int = 0,
-    ):
-        self.hidden = hidden
+    def __init__(self, lr: float = 1e-4, epochs: int = 1000, seed: int = 0):
         self.lr = lr
         self.epochs = epochs
         self.seed = seed
@@ -176,7 +161,7 @@ class MLPRegressor:
         Xs = self.xstd.transform(X)
         self.ymean_, self.ystd_ = float(y.mean()), float(y.std() or 1.0)
         ys = (y - self.ymean_) / self.ystd_
-        sizes = [X.shape[1], *self.hidden, 1]
+        sizes = [X.shape[1], *MLP_HIDDEN, 1]
         self.W = [
             g.normal(0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
             for i in range(len(sizes) - 1)

@@ -18,6 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Kernel width of the adjuster's GP (in iterations) and the jitter added
+#: to its kernel matrix.
+SIGMA = 50.0
+JITTER = 1e-6
+
 
 def h(delta: np.ndarray) -> np.ndarray:
     """Eq. 21: continuously differentiable distance warp."""
@@ -26,7 +31,7 @@ def h(delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def cov(i: np.ndarray, ip: np.ndarray, sigma: float = 50.0) -> np.ndarray:
+def cov(i: np.ndarray, ip: np.ndarray, sigma: float = SIGMA) -> np.ndarray:
     """Eq. 20: asymmetric kernel; rows = observed i, cols = target i'."""
     i = np.asarray(i, dtype=float)
     ip = np.asarray(ip, dtype=float)
@@ -39,64 +44,63 @@ def cov(i: np.ndarray, ip: np.ndarray, sigma: float = 50.0) -> np.ndarray:
     return k
 
 
-class RuntimeAdjuster:
-    """Conditions the ratio-GP on completed iterations (Fig. 5(c)).
+class Adjuster:
+    """Adjusts per-iteration runtime predictions once iterations complete.
 
     ``adjust(yhat, y_obs)`` takes the per-iteration predictions yhat
     (1..q) and the actual runtimes of the first c iterations, and returns
     adjusted predictions where iterations 1..c are replaced by their
-    actuals and iterations c+1..q are divided by the posterior mean ratio
-    E[g | observations].
+    actuals and iterations c+1..q are divided by :meth:`ratio`, the
+    predicted/actual ratio expected of them given the observed ratios.
+    This base class is NoGP: the ratio stays 1, only the past is known.
     """
 
-    def __init__(self, sigma: float = 50.0, jitter: float = 1e-6):
-        self.sigma = sigma
-        self.jitter = jitter
-
-    def posterior_ratio(self, obs_iters: np.ndarray, g_obs: np.ndarray, target_iters: np.ndarray) -> np.ndarray:
-        """Posterior mean of g at target iterations given observed ratios."""
-        if len(obs_iters) == 0:
-            return np.ones(len(target_iters))
-        K = cov(obs_iters, obs_iters, self.sigma) + self.jitter * np.eye(len(obs_iters))
-        Ks = cov(obs_iters, target_iters, self.sigma)
-        try:
-            alpha = np.linalg.solve(K, g_obs - 1.0)
-        except np.linalg.LinAlgError:
-            alpha = np.linalg.lstsq(K, g_obs - 1.0, rcond=None)[0]
-        return 1.0 + Ks.T @ alpha
+    def ratio(self, g_obs: np.ndarray, q: int) -> float | np.ndarray:
+        """Predicted/actual ratio of iterations c+1..q, given the ratios
+        ``g_obs`` of iterations 1..c."""
+        return 1.0
 
     def adjust(self, yhat: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
         """Adjusted per-iteration runtimes after observing len(y_obs) iters."""
-        q = len(yhat)
-        c = len(y_obs)
-        out = np.asarray(yhat, dtype=float).copy()
-        if c == 0:
-            return out
-        c = min(c, q)
-        obs_i = np.arange(1, c + 1, dtype=float)
-        safe = np.maximum(np.asarray(y_obs[:c], dtype=float), 1e-12)
-        g_obs = out[:c] / safe
-        out[:c] = y_obs[:c]
-        if c < q:
-            tgt = np.arange(c + 1, q + 1, dtype=float)
-            ratio = self.posterior_ratio(obs_i, g_obs, tgt)
-            ratio = np.clip(ratio, 0.1, 10.0)  # keep the correction sane
-            out[c:] = out[c:] / ratio
-        return out
-
-
-class WeightedAverageAdjuster:
-    """The [63]-style baseline: scale the future by the mean observed ratio."""
-
-    def adjust(self, yhat: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
         q = len(yhat)
         c = min(len(y_obs), q)
         out = np.asarray(yhat, dtype=float).copy()
         if c == 0:
             return out
         safe = np.maximum(np.asarray(y_obs[:c], dtype=float), 1e-12)
-        ratio = float((out[:c] / safe).mean())
+        g_obs = out[:c] / safe
         out[:c] = y_obs[:c]
         if c < q:
-            out[c:] = out[c:] / np.clip(ratio, 0.1, 10.0)
+            # Clipped to keep the correction sane.
+            out[c:] = out[c:] / np.clip(self.ratio(g_obs, q), 0.1, 10.0)
         return out
+
+
+class RuntimeAdjuster(Adjuster):
+    """Conditions the ratio-GP on completed iterations (Fig. 5(c)): the
+    ratio is the posterior mean E[g | observations]."""
+
+    def posterior_ratio(self, obs_iters: np.ndarray, g_obs: np.ndarray, target_iters: np.ndarray) -> np.ndarray:
+        """Posterior mean of g at target iterations given observed ratios."""
+        if len(obs_iters) == 0:
+            return np.ones(len(target_iters))
+        K = cov(obs_iters, obs_iters) + JITTER * np.eye(len(obs_iters))
+        Ks = cov(obs_iters, target_iters)
+        try:
+            alpha = np.linalg.solve(K, g_obs - 1.0)
+        except np.linalg.LinAlgError:
+            alpha = np.linalg.lstsq(K, g_obs - 1.0, rcond=None)[0]
+        return 1.0 + Ks.T @ alpha
+
+    def ratio(self, g_obs: np.ndarray, q: int) -> np.ndarray:
+        c = len(g_obs)
+        return self.posterior_ratio(
+            np.arange(1, c + 1, dtype=float), g_obs, np.arange(c + 1, q + 1, dtype=float)
+        )
+
+
+class WeightedAverageAdjuster(Adjuster):
+    """The [63]-style baseline: the ratio is the mean observed ratio."""
+
+    def ratio(self, g_obs: np.ndarray, q: int) -> float:
+        return float(g_obs.mean())

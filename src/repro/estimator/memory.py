@@ -23,6 +23,9 @@ from repro.core.balltree import BallTree
 #: "a center of each partitioned sub-space, 3 dimensions").
 _EQ10_PIVOT_DIMS = 3
 
+#: The leaf capacities :func:`tune_f` chooses from.
+F_MIN, F_MAX = 2, 4096
+
 
 def estimate_index_floats(n: int, f: int, *, exact: bool = True) -> float:
     """Eq. 10: memory (float slots) of a Ball-tree over n vectors.
@@ -49,20 +52,20 @@ def estimate_total_floats(n: int, k: int, f: int, *, exact: bool = True) -> floa
     )
 
 
-def tune_f(n: int, k: int, budget_floats: float, *, f_min: int = 2, f_max: int = 4096) -> int:
+def tune_f(n: int, k: int, budget_floats: float) -> int:
     """Eq. 12: the leaf capacity that fits ``budget_floats`` of memory.
 
-    f ~= 28(n + k) / (budget - 3n + 32 - 2k), clamped to [f_min, f_max].
-    A budget at or below the irreducible 3n + 2k cost maps to f_max (the
+    f ~= 28(n + k) / (budget - 3n + 32 - 2k), clamped to [F_MIN, F_MAX].
+    A budget at or below the irreducible 3n + 2k cost maps to F_MAX (the
     coarsest, cheapest index we can build).
     """
     denom = budget_floats - 3 * n + 32 - 2 * k
     if denom <= 0:
-        return f_max
+        return F_MAX
     # Round *up*: a larger f means a coarser, cheaper index, so ceiling
     # keeps the tuned index inside the budget.
     f = math.ceil(28 * (n + k) / denom)
-    return int(min(max(f, f_min), f_max))
+    return int(min(max(f, F_MIN), F_MAX))
 
 
 def measured_floats(tree: BallTree) -> int:

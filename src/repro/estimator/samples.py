@@ -23,6 +23,9 @@ from repro.core import balltree as bt
 from repro.estimator import features as F
 from repro.estimator.runtime import TaskSample
 
+#: The paper's train and validation shares; the test set takes the rest.
+TRAIN, VAL = 0.8, 0.1
+
 _CACHE_DIR = Path(os.environ.get("REPRO_CACHE", Path(__file__).resolve().parents[3] / ".cache"))
 
 
@@ -73,13 +76,13 @@ def generate(
 
 
 def split(
-    samples: list[TaskSample], *, train: float = 0.8, val: float = 0.1, seed: int = 0
+    samples: list[TaskSample], *, seed: int = 0
 ) -> tuple[list[TaskSample], list[TaskSample], list[TaskSample]]:
     """The paper's 80/10/10 train/validation/test split."""
     g = np.random.default_rng(seed)
     order = g.permutation(len(samples))
-    n_tr = int(len(samples) * train)
-    n_val = int(len(samples) * val)
+    n_tr = int(len(samples) * TRAIN)
+    n_val = int(len(samples) * VAL)
     pick = lambda ids: [samples[i] for i in ids]  # noqa: E731
     return (
         pick(order[:n_tr]),

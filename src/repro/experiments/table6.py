@@ -24,6 +24,7 @@ DATASET = "argo_pc"
 K_SWEEP = (10, 100, 1000, 2000)
 N_FRACS = (0.01, 0.05, 0.25, 1.0)
 F_SWEEP = (30, 100, 150, 200)
+SEED = 0  # of the dataset and of the centroid sample
 
 
 def _ratio(n: int, k: int, f: int, X, Ck) -> float:
@@ -34,9 +35,9 @@ def _ratio(n: int, k: int, f: int, X, Ck) -> float:
     return mem.accuracy(est, act)
 
 
-def run(*, base_n: int = BASE_N, seed: int = 0) -> list[dict]:
-    X = datasets.make(DATASET, base_n, seed=seed)
-    g = np.random.default_rng(seed)
+def run(*, base_n: int = BASE_N) -> list[dict]:
+    X = datasets.make(DATASET, base_n, seed=SEED)
+    g = np.random.default_rng(SEED)
     Ck = X[g.choice(base_n, size=max(K_SWEEP), replace=False)]
     rows = []
     for k in K_SWEEP:

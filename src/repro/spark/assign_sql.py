@@ -13,6 +13,8 @@ import pandas as pd
 
 from repro.spark.data import dim_cols
 
+#: Absolute tolerance of :func:`validation_sql`, on squared distance.
+VALIDATION_TOL = 1e-9
 
 def centroids_pdf(C: np.ndarray) -> pd.DataFrame:
     """Centroids as a pandas table [cid, x0..] for oracle registration."""
@@ -48,23 +50,23 @@ def assignment_sql(d: int) -> str:
     """
 
 
-def validation_sql(d: int, tol: float = 1e-9) -> str:
+def validation_sql(d: int) -> str:
     """SELECT id, ok — DuckDB independently checks Spark's labels.
 
     Takes the Spark-produced ``labels(id, cluster)`` as an *input* table
     and verifies each assigned centroid attains the minimum distance over
-    ``centroids`` within ``tol`` (absolute, on squared distance). Exact
-    argmin-id comparison is float-form sensitive on near-equidistant
-    boundary points (NumPy's expanded x^2+c^2-2xc vs the subtractive
-    form), so correctness is asserted on the *distance optimality* of the
-    label, which is the actual contract.
+    ``centroids`` within ``VALIDATION_TOL``. Exact argmin-id comparison is
+    float-form sensitive on near-equidistant boundary points (NumPy's
+    expanded x^2+c^2-2xc vs the subtractive form), so correctness is
+    asserted on the *distance optimality* of the label, which is the
+    actual contract.
     """
     return f"""
         SELECT p.id AS id,
                CAST(
                  (SELECT {_dist2(d, "p", "c")} FROM centroids c
                   WHERE c.cid = l.cluster)
-                 <= (SELECT MIN({_dist2(d, "p", "c")}) FROM centroids c) + {tol}
+                 <= (SELECT MIN({_dist2(d, "p", "c")}) FROM centroids c) + {VALIDATION_TOL}
                  AS INT) AS ok
         FROM points p JOIN labels l USING (id)
     """

@@ -17,13 +17,14 @@ from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import lloyd
-from repro.core.result import AssignStats, check_centroids, iterate
+from repro.core.result import AssignStats, check_centroids, check_points, iterate
 from repro.spark import data as sdata
 from repro.spark.daskmeans_spark import SparkKMeansResult
 
 
 def assign_df(df: DataFrame, C: np.ndarray, d: int) -> DataFrame:
-    """[id, x0.., cluster] — nearest-centroid assignment via mapInPandas."""
+    """[id, x0.., cluster] — nearest-centroid assignment via mapInPandas.
+    Each batch must meet the input contract (``check_points``)."""
     cols = sdata.dim_cols(d)
     # Fresh StructType — StructType.add would mutate df's own schema object.
     schema = T.StructType(
@@ -33,7 +34,8 @@ def assign_df(df: DataFrame, C: np.ndarray, d: int) -> DataFrame:
     def _assign(batches):
         for pdf in batches:
             out = pdf.copy()
-            out["cluster"] = lloyd.assign_labels(pdf[cols].to_numpy(dtype=np.float64), C)
+            X = check_points(pdf[cols].to_numpy(dtype=np.float64))
+            out["cluster"] = lloyd.assign_labels(X, C)
             yield out
 
     return df.mapInPandas(_assign, schema=schema)

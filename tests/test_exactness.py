@@ -71,6 +71,20 @@ def test_matches_until_convergence(refs, algo):
     assert (r.labels == ref.labels).all()
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("max_iter", [60, 2], ids=["converged", "stopped"])
+def test_labels_are_argmin_of_labels_centroids(refs, algo, max_iter):
+    """Every fit reports the centroids its labels are the argmin of: the
+    input of the last refinement, which differ from the final centroids
+    when the fit stops before converging."""
+    X, C0, ref = refs("rd3d", 800, 8, seed=4, max_iter=max_iter)
+    r = ALGORITHMS[algo](X, C0, max_iter)
+    assert r.converged == ref.converged == (max_iter == 60)
+    np.testing.assert_array_equal(r.labels, lloyd.assign_labels(X, r.labels_centroids))
+    if not r.converged:
+        assert (r.labels != lloyd.assign_labels(X, r.centroids)).any()
+
+
 @pytest.mark.parametrize("algo", ACCELERATED)
 def test_k_equals_one(algo):
     X = datasets.make("tdrive", 300, seed=0)

@@ -59,7 +59,7 @@ def test_posterior_prior_is_one():
 def test_posterior_moves_towards_observed_ratio():
     """If the model overpredicts 2x on early iterations, the posterior ratio
     for upcoming iterations must rise above 1."""
-    adj = gp.RuntimeAdjuster(sigma=50)
+    adj = gp.RuntimeAdjuster()
     obs_i = np.array([1.0, 2.0, 3.0])
     g_obs = np.array([2.0, 2.0, 2.0])
     post = adj.posterior_ratio(obs_i, g_obs, np.array([4.0, 5.0]))
@@ -67,7 +67,7 @@ def test_posterior_moves_towards_observed_ratio():
 
 
 def test_adjust_replaces_observed_and_scales_future():
-    adj = gp.RuntimeAdjuster(sigma=50)
+    adj = gp.RuntimeAdjuster()
     yhat = np.full(6, 2.0)
     y_obs = np.array([1.0, 1.0, 1.0])  # actual is half the prediction
     out = adj.adjust(yhat, y_obs)
@@ -77,7 +77,7 @@ def test_adjust_replaces_observed_and_scales_future():
 
 def test_adjust_reduces_total_error():
     """The paper's claim: more observed iterations -> better total estimate."""
-    adj = gp.RuntimeAdjuster(sigma=50)
+    adj = gp.RuntimeAdjuster()
     y_true = np.array([5.0, 3.0, 2.0, 2.0, 2.0, 2.0])
     yhat = y_true * 1.8  # systematic overprediction
     err0 = abs(yhat.sum() - y_true.sum())

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from py4j.protocol import Py4JJavaError
+from pyspark.errors import PythonException
 
 from repro import datasets
 from repro.algorithms import ALGORITHMS
@@ -105,12 +106,15 @@ def test_spark_nan_init_rejected(spark, data, spark_fit):
         spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
 
 
-def test_spark_non_finite_row_rejected(spark, data):
-    """Executors check their partition; the ValueError reaches the driver
-    inside the Java error of the failed job."""
+@SPARK_FITS
+def test_spark_non_finite_row_rejected(spark, data, spark_fit):
+    """Executors check their partition (Dask-means) or each Arrow batch
+    (Lloyd); the ValueError reaches the driver inside the failed job's
+    error: a Java error from the RDD path, a Python one from the
+    DataFrame path."""
     X, C0 = data
     X = X.copy()
     X[42, 0] = np.nan
     df = sdata.to_spark(spark, X, n_partitions=2)
-    with pytest.raises(Py4JJavaError, match="ValueError: X must be a finite"):
-        daskmeans_spark.fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
+    with pytest.raises((Py4JJavaError, PythonException), match="ValueError: X must be a finite"):
+        spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
