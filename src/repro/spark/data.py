@@ -33,8 +33,10 @@ def to_spark(
 def partition_arrays(df: DataFrame, d: int):
     """RDD of (ids, X) NumPy pairs, one element per partition.
 
-    Empty partitions yield nothing. This is the hand-off point from the
-    DataFrame world to the executor-local index structures.
+    Empty partitions yield nothing. These are the partitions, rows in the
+    same order, that Spark Dask-means builds one tree each over (it reads
+    them as Arrow batches in its first pass), so this is how to inspect
+    its layout and index memory.
     """
     cols = ["id", *dim_cols(d)]
 

@@ -74,8 +74,10 @@ def fit(
         changed, prev_sig = sig != prev_sig, sig
         return AssignStats(sv, cnt, changed, int(cnt.sum()) * k, 0)
 
-    loop = iterate(C, assign, max_iter)
-    labels_df = assign_df(df, loop.labels_centroids, d).select("id", "cluster")
-    if own_cache:
-        df.unpersist()
+    try:
+        loop = iterate(C, assign, max_iter)
+        labels_df = assign_df(df, loop.labels_centroids, d).select("id", "cluster")
+    finally:
+        if own_cache:
+            df.unpersist()
     return SparkKMeansResult(**vars(loop), labels_df=labels_df)

@@ -108,13 +108,30 @@ def test_spark_nan_init_rejected(spark, data, spark_fit):
 
 @SPARK_FITS
 def test_spark_non_finite_row_rejected(spark, data, spark_fit):
-    """Executors check their partition (Dask-means) or each Arrow batch
-    (Lloyd); the ValueError reaches the driver inside the failed job's
-    error: a Java error from the RDD path, a Python one from the
-    DataFrame path."""
+    """Executors check each partition's rows as they build its tree
+    (Dask-means) or each Arrow batch (Lloyd); both are DataFrame paths, and
+    the ValueError reaches the driver inside the failed job's error: a
+    Python one, or a Java one where the job runs through ``DataFrame.rdd``
+    (Dask-means collects its per-partition stats that way)."""
     X, C0 = data
     X = X.copy()
     X[42, 0] = np.nan
     df = sdata.to_spark(spark, X, n_partitions=2)
     with pytest.raises((Py4JJavaError, PythonException), match="ValueError: X must be a finite"):
         spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
+
+
+@SPARK_FITS
+def test_failed_spark_fit_releases_its_state(spark, data, spark_fit):
+    """A fit whose job raises leaves no persisted state behind and leaves
+    the caller's DataFrame uncached, as it found it."""
+    X, C0 = data
+    X = X.copy()
+    X[42, 0] = np.nan
+    df = sdata.to_spark(spark, X, n_partitions=2)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before, level = persistent().size(), df.storageLevel
+    with pytest.raises((Py4JJavaError, PythonException), match="X must be a finite"):
+        spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=C0)
+    assert persistent().size() == before
+    assert df.storageLevel == level
