@@ -62,7 +62,7 @@ def fit(X: np.ndarray, init_centroids: np.ndarray, max_iter: int = 20) -> KMeans
         if drift is not None:
             cum_drift += drift
             cum_max += float(drift.max())
-        stats = AssignStats(np.zeros((k, d)), np.zeros(k, dtype=np.int64), False, 0, 0)
+        stats = AssignStats.zero(k, d)
 
         def batch_assign(node: int, j: int):
             rows = tree.points(node)

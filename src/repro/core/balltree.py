@@ -6,12 +6,14 @@ One tree class serves both roles in the paper:
   first k-means iteration), and
 * the **centroid index** over the k centroids (rebuilt every iteration).
 
-Nodes are stored in flat NumPy arrays (structure-of-arrays) so per-node
-statistics are vectorized at build time and the tree pickles cheaply into
-Spark executors. Every node owns a contiguous slice ``[start, end)`` of the
-permutation array ``idx``; leaves hold at most ``f`` points. Following
-Omohundro's construction [47], a node splits on the coordinate of maximum
-spread at the median, giving a balanced tree of height ~log2(2n/f).
+Nodes are stored in flat NumPy arrays (structure-of-arrays), so the tree
+pickles cheaply into Spark executors. Every node owns a contiguous slice
+``[start, end)`` of the permutation array ``idx``; leaves hold at most
+``f`` points. Following Omohundro's construction [47], a node splits on
+the coordinate of maximum spread at the median, giving a balanced tree of
+height ~log2(2n/f). The build is level-synchronous, as the Dask-means walk
+is: every node of a depth is reduced and split in the same NumPy calls,
+and preorder ids are given once the shape is known.
 
 Each node carries exactly the fields the paper's Algorithm 1 needs: pivot
 (mean of covered points), radius, the cluster id a(N) assigned in the
@@ -82,50 +84,84 @@ class BallTree:
 def build(X: np.ndarray, f: int) -> BallTree:
     """Build a balanced Ball-tree over ``X`` with leaf capacity ``f``.
 
-    Median split on the max-spread coordinate; O(n log(2n/f)) vectorized
-    passes. Deterministic for a given ``X`` and ``f``.
+    Median split on the max-spread coordinate (the first one on a tie),
+    one depth at a time: the points of all nodes of a depth are gathered
+    into one block padded to the widest node, reduced together and split
+    by one row-wise ``argpartition``, so a build makes O(height) NumPy
+    passes over the points whatever the node count. Deterministic for a
+    given ``X`` and ``f``; an empty ``X`` gives a lone root of zero pivot
+    and radius.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n, _ = X.shape
+    n, d = X.shape
     if f < 1:
         raise ValueError(f"leaf capacity f must be >= 1, got {f}")
+    XT = np.ascontiguousarray(X.T)
     idx = np.arange(n)
-    pivot, radius, start, end, node_sum, subtree_end = [], [], [], [], [], []
-    height = 0
-
-    def grow(s, e, depth):
-        # Preorder: the node takes the next id, then its left and right
-        # subtrees; the recursion is as deep as the tree.
-        nonlocal height
-        height = max(height, depth + 1)
-        node = len(pivot)
-        pts = X[idx[s:e]]
-        mu = pts.mean(axis=0)
-        diff = pts - mu  # subtractive: the radius feeds inflated bounds only
-        pivot.append(mu)
-        radius.append(float(np.sqrt((diff * diff).sum(axis=1).max())) if e > s else 0.0)
+    # Per depth, nodes left to right: slices, stats and which nodes split
+    # (their children are the next depth's nodes, in pairs).
+    start, end, node_sum, pivot, radius, cut = [], [], [], [], [], []
+    s, e = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    while True:
+        cnt = e - s
+        # A median split leaves at most two sizes per depth, so padding to
+        # the widest node costs at most one slot per node. A pad slot
+        # repeats its node's first row: min, max and radius ignore it.
+        col = np.arange(cnt.max())
+        real = col < cnt[:, None]
+        rows = idx[np.where(real, s[:, None] + col, s[:, None])]
+        # The block is read as (d, nodes, width) and reduced along width or
+        # d. NumPy's inner loop runs along the contiguous axis, so gather
+        # dimension-major while nodes are wider than d, row-major after.
+        P = XT.take(rows, axis=1) if len(col) >= d else X[rows].transpose(2, 0, 1)
+        total = P.sum(axis=2, where=real).T
+        mu = total / np.maximum(cnt, 1)[:, None]
+        diff = P - mu.T[:, :, None]  # subtractive: the radius feeds inflated bounds only
+        diff *= diff
+        radius.append(np.sqrt(diff.sum(axis=0).max(axis=1, initial=0.0)))
+        del diff  # so a depth holds at most three blocks: XT, P and diff
         start.append(s)
         end.append(e)
-        node_sum.append(pts.sum(axis=0))
-        subtree_end.append(0)
-        if e - s > f:
-            spread = pts.max(axis=0) - pts.min(axis=0)
-            dim = int(np.argmax(spread))
-            mid = (e - s) // 2
-            order = np.argpartition(pts[:, dim], mid)
-            idx[s:e] = idx[s:e][order]
-            grow(s, s + mid, depth + 1)
-            grow(s + mid, e, depth + 1)
-        subtree_end[node] = len(pivot)
+        node_sum.append(total)
+        pivot.append(mu)
+        split = np.flatnonzero(cnt > f)
+        cut.append(split)
+        if not len(split):
+            break
+        lo, c, real, rows = s[split], cnt[split], real[split], rows[split]
+        mid = c // 2
+        dim = np.argmax(P.max(axis=2) - P.min(axis=2), axis=0)[split]
+        key = np.where(real, P[dim, split], np.inf)
+        # Partitioning at every median and at every short node's length
+        # puts each node's lower half first and its pad slots last.
+        order = np.argpartition(key, np.union1d(mid, c[c < len(col)]), axis=1)
+        idx[(lo[:, None] + col)[real]] = np.take_along_axis(rows, order, axis=1)[real]
+        s = np.column_stack([lo, lo + mid]).ravel()
+        e = np.column_stack([lo + mid, lo + c]).ravel()
 
-    grow(0, n, 0)
+    # Preorder ids: a left child follows its parent, a right child follows
+    # its sibling's subtree, whose size is counted bottom-up.
+    size = [np.ones(len(a), dtype=np.int64) for a in start]
+    for t in range(len(cut) - 2, -1, -1):
+        size[t][cut[t]] += size[t + 1][0::2] + size[t + 1][1::2]
+    ids = [np.zeros(1, dtype=np.int64)]
+    for t in range(len(cut) - 1):
+        left = ids[t][cut[t]] + 1
+        ids.append(np.column_stack([left, left + size[t + 1][0::2]]).ravel())
+    at = np.concatenate(ids)
+
+    def preorder(parts):
+        flat = np.concatenate(parts)
+        out = np.empty_like(flat)
+        out[at] = flat
+        return out
+
     return BallTree(
-        X=X, f=f, height=height, idx=idx,
-        pivot=np.array(pivot), radius=np.array(radius),
-        start=np.array(start, dtype=np.int64), end=np.array(end, dtype=np.int64),
-        node_sum=np.array(node_sum),
-        subtree_end=np.array(subtree_end, dtype=np.int64),
-        cluster=np.full(len(pivot), NO_CLUSTER, dtype=np.int64),
+        X=X, f=f, height=len(start), idx=idx,
+        pivot=preorder(pivot), radius=preorder(radius),
+        start=preorder(start), end=preorder(end), node_sum=preorder(node_sum),
+        subtree_end=preorder([i + z for i, z in zip(ids, size)]),
+        cluster=np.full(len(at), NO_CLUSTER, dtype=np.int64),
     )
 
 

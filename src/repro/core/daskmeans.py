@@ -267,7 +267,9 @@ def assign_pass(
     that each Spark partition keeps alongside its tree.
     """
     k, d = C.shape
-    stats = AssignStats(np.zeros((k, d)), np.zeros(k, dtype=np.int64), False, 0, 0)
+    stats = AssignStats.zero(k, d)
+    if not len(tree.idx):  # an empty tree: no point to assign
+        return stats
     batch_nodes, batch_ids = [], []
     # Runs of one depth's frontier, depth-first, so the lists held at once
     # stay within O(tree height * _BLOCK_FLOATS) entries.

@@ -124,6 +124,11 @@ class AssignStats:
     pruned_vectors: int     # vectors assigned in batch / kept via Eq. 4-5
 
     @classmethod
+    def zero(cls, k: int, d: int) -> "AssignStats":
+        """Stats of a pass over no point."""
+        return cls(np.zeros((k, d)), np.zeros(k, dtype=np.int64), False, 0, 0)
+
+    @classmethod
     def of(cls, X, labels, prev, k: int, n_dist: int) -> "AssignStats":
         """Stats of a pass that moved ``prev`` to ``labels`` over ``X``."""
         return cls(*cluster_sums(X, labels, k), bool((labels != prev).any()), n_dist, 0)

@@ -128,6 +128,8 @@ def fit(
         parts = states[-1].select("stats").rdd.collect()
         while len(states) > 1:
             states.pop(0).unpersist()
+        if not parts:  # no partition holds a row
+            return AssignStats.zero(*C.shape)
         return AssignStats.total([pickle.loads(r.stats) for r in parts])
 
     try:

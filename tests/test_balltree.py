@@ -1,4 +1,7 @@
 """Ball-tree substrate tests: structural invariants and exact search."""
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,64 @@ def test_structure_invariants(name, f):
             # children partition the parent's slice
             assert t.start[l] == t.start[i] and t.end[r] == t.end[i]
             assert t.end[l] == t.start[r]
+
+
+def _digest(t) -> str:
+    """sha256 over the slices, the shape and each node's member set."""
+    h = hashlib.sha256()
+    for a in (t.start, t.end, t.subtree_end):
+        h.update(a.astype(np.int64).tobytes())
+    for i in range(t.n_nodes):
+        h.update(np.sort(t.points(i)).astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, n, f, n_nodes, height, digest",
+    [
+        ("tdrive", 2000, 30, 255, 8,
+         "f3d691a0c470c3dcdaf625c75f03ee5393971047a79c1062611f15948704ed20"),
+        ("argo_pc", 3000, 4, 2047, 11,
+         "9470be28c998b0f5ec234e72a9fdf82a1307ec363c0c7f8080ef3a9a531c48b2"),
+        ("apoll_td", 1500, 30, 127, 7,
+         "87235d2b3c8ac4e69d80c3f67ec514181e9738b4de9e6e5458a3c1caf3f9f7e5"),
+    ],
+)
+def test_tree_is_pinned(name, n, f, n_nodes, height, digest):
+    """On untied data the tree is fixed node for node (preorder ids,
+    slices and member sets), so a change to the build cannot move a
+    counter unnoticed."""
+    X = datasets.make(name, n, seed=0)
+    t = bt.build(X, f)
+    assert (t.n_nodes, t.height, _digest(t)) == (n_nodes, height, digest)
+
+
+def _nodes(c: int, f: int) -> int:
+    return 1 if c <= f else 1 + _nodes(c // 2, f) + _nodes(c - c // 2, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    D=st.integers(1, 4),
+    f=st.integers(1, 40),
+    kind=st.sampled_from(["grid", "duplicates"]),
+    seed=st.integers(0, 1000),
+)
+def test_split_is_the_median(n, D, f, kind, seed):
+    """Every internal node sends exactly ``cnt // 2`` points left, none of
+    them above a right point on its split dimension (the first of
+    maximum spread), even where most values tie."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, (n, D)) / 2 if kind == "grid" else np.ones((n, D))
+    t = bt.build(X, f)
+    assert t.n_nodes == _nodes(n, f)
+    for i in np.flatnonzero(~t.is_leaf(np.arange(t.n_nodes))):
+        pts = X[t.points(i)]
+        l, r = t.children(i)
+        assert t.end[l] - t.start[l] == len(pts) // 2
+        dim = np.argmax(pts.max(0) - pts.min(0))
+        assert X[t.points(l), dim].max() <= X[t.points(r), dim].min()
 
 
 @pytest.mark.parametrize("name", ["tdrive", "argo_pc"])
@@ -154,6 +215,17 @@ def test_single_point_tree():
     assert t.n_nodes == 1 and t.radius[0] == 0.0
     ti, td, _ = bt.knn(t, np.array([1.0, 2.0]), 1)
     assert ti[0] == 0 and td[0] == 0.0
+
+
+def test_empty_tree():
+    """No point: a lone root of zero pivot and radius, built without a
+    NaN or a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = bt.build(np.empty((0, 3)), 4)
+    assert (t.n_nodes, t.height, len(t.idx)) == (1, 1, 0)
+    assert (t.start[0], t.end[0], t.subtree_end[0]) == (0, 0, 1)
+    assert not t.pivot.any() and not t.node_sum.any() and t.radius[0] == 0.0
 
 
 def test_duplicate_points():

@@ -65,6 +65,18 @@ def test_every_algorithm_shares_the_contract(data, algo, case):
         ALGORITHMS[algo](X, C0, 3)
 
 
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_empty_input(algo):
+    """No point: every algorithm keeps its initial centroids and ends as
+    Lloyd does, after one pass in which no label changed."""
+    X, C0 = np.empty((0, 2)), np.array([[0.0, 0.0], [1.0, 1.0]])
+    ref = ALGORITHMS["Lloyd"](X, C0, 5)
+    res = ALGORITHMS[algo](X, C0, 5)
+    np.testing.assert_array_equal(res.centroids, C0)
+    assert res.labels.shape == (0,)
+    assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
+
+
 def test_prebuilt_tree_with_other_f_rejected(data):
     X, C0 = data
     tree = bt.build(X, 16)
@@ -94,6 +106,18 @@ def test_spark_init_of_wrong_shape_rejected(spark, data, shape, spark_fit):
     df = sdata.to_spark(spark, X, n_partitions=2)
     with pytest.raises(ValueError, match="init_centroids"):
         spark_fit(spark, df, 8, d=2, max_iter=2, init_centroids=np.zeros(shape))
+
+
+@SPARK_FITS
+def test_spark_empty_input(spark, data, spark_fit):
+    """A filter that leaves no row: no partition holds state, the initial
+    centroids stay and no label is written."""
+    X, _ = data
+    df = sdata.to_spark(spark, X, n_partitions=2).where("id < 0")
+    C0 = np.array([[0.0, 0.0], [1.0, 1.0]])
+    res = spark_fit(spark, df, 2, d=2, max_iter=5, init_centroids=C0)
+    np.testing.assert_array_equal(res.centroids, C0)
+    assert res.labels_df.count() == 0
 
 
 @SPARK_FITS
