@@ -93,7 +93,7 @@ def build(X: np.ndarray, f: int) -> BallTree:
     and radius.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    n, d = X.shape
+    n, _ = X.shape
     if f < 1:
         raise ValueError(f"leaf capacity f must be >= 1, got {f}")
     XT = np.ascontiguousarray(X.T)
@@ -110,10 +110,9 @@ def build(X: np.ndarray, f: int) -> BallTree:
         col = np.arange(cnt.max())
         real = col < cnt[:, None]
         rows = idx[np.where(real, s[:, None] + col, s[:, None])]
-        # The block is read as (d, nodes, width) and reduced along width or
-        # d. NumPy's inner loop runs along the contiguous axis, so gather
-        # dimension-major while nodes are wider than d, row-major after.
-        P = XT.take(rows, axis=1) if len(col) >= d else X[rows].transpose(2, 0, 1)
+        # The block is (d, nodes, width), so the reductions along width run
+        # over its contiguous axis.
+        P = XT.take(rows, axis=1)
         total = P.sum(axis=2, where=real).T
         mu = total / np.maximum(cnt, 1)[:, None]
         diff = P - mu.T[:, :, None]  # subtractive: the radius feeds inflated bounds only
