@@ -56,6 +56,17 @@ def iteration_rows(feat: np.ndarray, q: int) -> np.ndarray:
     return np.column_stack([rows, np.arange(1, q + 1, dtype=float)])
 
 
+def per_iteration(samples, n_feat: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, y): one row per recorded iteration of every sample.
+
+    Each sample contributes ``iteration_rows`` over its first ``n_feat``
+    task features (all when None) and its iteration runtimes as targets.
+    """
+    Z = np.vstack([iteration_rows(s.features()[:n_feat], s.n_iter) for s in samples])
+    y = np.array([t for s in samples for t in s.iter_times])
+    return Z, y
+
+
 class Standardizer:
     """Feature standardization fitted on training data.
 

@@ -86,11 +86,7 @@ class RuntimeAdjuster(Adjuster):
             return np.ones(len(target_iters))
         K = cov(obs_iters, obs_iters) + JITTER * np.eye(len(obs_iters))
         Ks = cov(obs_iters, target_iters)
-        try:
-            alpha = np.linalg.solve(K, g_obs - 1.0)
-        except np.linalg.LinAlgError:
-            alpha = np.linalg.lstsq(K, g_obs - 1.0, rcond=None)[0]
-        return 1.0 + Ks.T @ alpha
+        return 1.0 + Ks.T @ np.linalg.solve(K, g_obs - 1.0)
 
     def ratio(self, g_obs: np.ndarray, q: int) -> np.ndarray:
         c = len(g_obs)

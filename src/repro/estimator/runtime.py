@@ -4,17 +4,22 @@ The paper's estimator decomposes total runtime t into (a) an iteration
 count v predicted by a *linear* regressor over the meta-features,
 expressed as the dummy vector u = [1]*v + [0]*(q-v) (Eq. 13), and (b) a
 per-iteration runtime predicted by a *non-linear* (polynomial) regressor
-with optional interaction features (Eq. 14-17), solved by OLS. Both are
-single-pass closed-form fits — the "lightweight" property Fig. 11(a)
-measures against XGBoost/DisNet training loops.
+with optional interaction features (Eq. 14-17), solved by OLS. The linear
+regressor is the beta = 1 case of the polynomial one, so both are fits of
+one :class:`PolynomialOLS`: a single-pass closed-form solve, the
+"lightweight" property Fig. 11(a) measures against XGBoost/DisNet
+training loops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.estimator import features as F
+
+#: Eq. 14 meta-features: the first entries of F.TASK_FEATURES.
+N_CORE = 4
 
 
 @dataclass
@@ -42,98 +47,64 @@ class TaskSample:
         return F.task_features(self.n, self.k, self.d, self.f)
 
 
-class IterationCountLR:
-    """Linear regressor for the iteration count v (Section V-B1).
+class PolynomialOLS:
+    """OLS over all monomials of total degree <= beta (Eq. 14-17).
 
-    Plain least squares from standardized meta-features to v; the
-    prediction is rounded and clipped to [1, q] before being turned into
-    the dummy vector u.
+    Rows are standardized, then expanded into the monomial basis (cross
+    terms only when ``interaction``) and solved in one pass by lstsq, the
+    OLS solution of Eq. 17.
     """
 
-    def fit(self, samples: list[TaskSample], q: int) -> "IterationCountLR":
-        self.q = q
-        Z = np.array([s.features() for s in samples])
-        v = np.array([s.n_iter for s in samples], dtype=float)
-        self.std = F.Standardizer().fit(Z)
-        A = np.column_stack([np.ones(len(Z)), self.std.transform(Z)])
-        self.coef_, *_ = np.linalg.lstsq(A, v, rcond=None)
-        return self
-
-    def predict_v(self, feat: np.ndarray) -> int:
-        a = np.concatenate([[1.0], self.std.transform(feat[None, :])[0]])
-        v = float(a @ self.coef_)
-        return int(np.clip(round(v), 1, self.q))
-
-    def predict_u(self, feat: np.ndarray) -> np.ndarray:
-        """Dummy vector u: ones for the predicted first v iterations."""
-        v = self.predict_v(feat)
-        u = np.zeros(self.q)
-        u[:v] = 1.0
-        return u
-
-
-class PerIterationNLR:
-    """Polynomial OLS for each iteration's runtime (Eq. 14-17).
-
-    Design rows are [n, k, d, f, iteration index j] — the paper's Eq. 14
-    meta-features (lambda = 4) plus the iteration position — standardized,
-    then expanded into all monomials of total degree <= beta (cross terms
-    only when ``interaction``). Solved in one pass by lstsq — the OLS
-    solution of Eq. 17. The index-shape features stay with the
-    iteration-count LR; putting all 8 into a degree-4 interaction basis
-    yields ~700 collinear terms and OLS blows up, which is why the basis
-    is restricted to the paper's own feature set here.
-    """
-
-    #: Eq. 14 meta-features: the first entries of F.TASK_FEATURES.
-    N_CORE = 4
-
-    def __init__(self, beta: int = 4, interaction: bool = True):
+    def __init__(self, beta: int, interaction: bool = True):
         self.beta = beta
         self.interaction = interaction
 
-    def fit(self, samples: list[TaskSample]) -> "PerIterationNLR":
-        rows, y = [], []
-        for s in samples:
-            feat = s.features()[: self.N_CORE]
-            rows.append(F.iteration_rows(feat, s.n_iter))
-            y.extend(s.iter_times)
-        Z = np.vstack(rows)
-        y = np.array(y)
+    def fit(self, Z: np.ndarray, y: np.ndarray) -> "PolynomialOLS":
         self.std = F.Standardizer().fit(Z)
         self.expos = F.monomial_exponents(Z.shape[1], self.beta, self.interaction)
         A = F.expand(self.std.transform(Z), self.expos)
         self.coef_, *_ = np.linalg.lstsq(A, y, rcond=None)
         return self
 
-    def predict_iters(self, feat: np.ndarray, q: int) -> np.ndarray:
-        """Predicted runtime of iterations 1..q (clipped at >= 0)."""
-        Z = F.iteration_rows(feat[: self.N_CORE], q)
-        A = F.expand(self.std.transform(Z), self.expos)
-        return np.maximum(A @ self.coef_, 0.0)
+    def predict(self, Z: np.ndarray) -> np.ndarray:
+        return F.expand(self.std.transform(Z), self.expos) @ self.coef_
 
 
 @dataclass
 class RuntimePredictor:
-    """The full estimator: t_hat = sum_i u_i * y_hat_i (Eq. 13)."""
+    """The full estimator: t_hat = sum_i u_i * y_hat_i (Eq. 13).
+
+    Two fits of :class:`PolynomialOLS`. The iteration count v is a beta = 1
+    fit over all task features, rounded and clipped to [1, q] before it
+    becomes the dummy vector u. The runtime y_hat_j of iteration j is a
+    (beta, interaction) fit over the paper's Eq. 14 meta-features
+    [n, k, d, f] (lambda = 4) plus j, clipped at 0. The index-shape
+    features stay with the v fit: putting all 8 into a degree-4
+    interaction basis yields ~700 collinear terms and OLS blows up, which
+    is why the per-iteration basis is restricted to the paper's own
+    feature set.
+    """
 
     beta: int = 4
     interaction: bool = True
     q: int = 20
-    lr: IterationCountLR = field(default=None)
-    nlr: PerIterationNLR = field(default=None)
 
     def fit(self, samples: list[TaskSample]) -> "RuntimePredictor":
-        self.lr = IterationCountLR().fit(samples, self.q)
-        self.nlr = PerIterationNLR(self.beta, self.interaction).fit(samples)
+        Z = np.array([s.features() for s in samples])
+        v = np.array([s.n_iter for s in samples], dtype=float)
+        self.v_fit = PolynomialOLS(1).fit(Z, v)
+        self.y_fit = PolynomialOLS(self.beta, self.interaction).fit(
+            *F.per_iteration(samples, N_CORE))
         return self
 
     def predict_profile(self, sample: TaskSample) -> tuple[np.ndarray, np.ndarray]:
         """(u, per-iteration predictions over 1..q) for one task."""
         feat = sample.features()
-        u = self.lr.predict_u(feat)
-        yhat = self.nlr.predict_iters(feat, self.q)
-        return u, yhat
+        v = int(np.clip(round(float(self.v_fit.predict(feat[None, :])[0])), 1, self.q))
+        u = np.zeros(self.q)
+        u[:v] = 1.0
+        yhat = self.y_fit.predict(F.iteration_rows(feat[:N_CORE], self.q))
+        return u, np.maximum(yhat, 0.0)
 
     def predict_total(self, sample: TaskSample) -> float:
         u, yhat = self.predict_profile(sample)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -93,24 +94,12 @@ def split(
 
 def _save(path: Path, samples: list[TaskSample]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {
-            "n": s.n, "k": s.k, "d": s.d, "f": s.f,
-            "iter_times": s.iter_times,
-            "tree_stats": list(map(float, s.tree_stats)),
-        }
-        for s in samples
-    ]
-    path.write_text(json.dumps(payload))
+    rows = [asdict(s) | {"tree_stats": s.tree_stats.tolist()} for s in samples]
+    path.write_text(json.dumps(rows))
 
 
 def _load(path: Path) -> list[TaskSample]:
-    payload = json.loads(path.read_text())
     return [
-        TaskSample(
-            n=p["n"], k=p["k"], d=p["d"], f=p["f"],
-            iter_times=p["iter_times"],
-            tree_stats=np.array(p["tree_stats"]),
-        )
-        for p in payload
+        TaskSample(**row | {"tree_stats": np.array(row["tree_stats"])})
+        for row in json.loads(path.read_text())
     ]

@@ -12,10 +12,10 @@ import time
 
 import numpy as np
 
+from repro.estimator import features as F
 from repro.estimator import metrics as M
 from repro.estimator import samples as S
 from repro.estimator.competitors import GBTRegressor, MLPRegressor, RidgeRegressor
-from repro.estimator.features import iteration_rows
 from repro.estimator.runtime import RuntimePredictor, TaskSample
 
 N_TASKS = 200
@@ -23,14 +23,6 @@ N_TASKS = 200
 
 def _task_X(samples: list[TaskSample]) -> np.ndarray:
     return np.array([s.features() for s in samples])
-
-
-def _iter_rows(samples: list[TaskSample]):
-    rows, y = [], []
-    for s in samples:
-        rows.append(iteration_rows(s.features(), s.n_iter))
-        y.extend(s.iter_times)
-    return np.vstack(rows), np.array(y)
 
 
 def _models():
@@ -47,37 +39,29 @@ def run(*, n_tasks: int = N_TASKS, seed: int = 0, max_iter: int = 12,
                      **(sample_kwargs or {}))
     train, _val, test = S.split(smp, seed=seed)
     y = np.array([s.total_time for s in test])
-    rows = []
-
-    # Task-level baselines: features -> total runtime directly.
-    Xtr, ytr = _task_X(train), np.array([s.total_time for s in train])
+    # Task-level baselines map features to the total runtime directly; the
+    # S- variants fit per-iteration rows and sum each test task's
+    # predictions over its actual iteration count (the paper's "predict
+    # each iteration separately and then sum" modification).
     Xte = _task_X(test)
-    for name, model in _models().items():
-        t0 = time.perf_counter()
-        model.fit(Xtr, ytr)
-        t_train = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        yhat = model.predict(Xte)
-        t_pred = time.perf_counter() - t0
-        rows.append({"model": name, "train_s": t_train, "predict_s": t_pred,
-                     **M.evaluate(y, yhat)})
-
-    # S- variants: per-iteration rows, summed over the actual iteration
-    # count of each test task (the paper's "predict each iteration
-    # separately and then sum" modification).
-    Ztr, ztr = _iter_rows(train)
-    for name, model in _models().items():
-        t0 = time.perf_counter()
-        model.fit(Ztr, ztr)
-        t_train = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        yhat = np.array([
-            model.predict(iteration_rows(s.features(), s.n_iter)).sum()
-            for s in test
-        ])
-        t_pred = time.perf_counter() - t0
-        rows.append({"model": f"S-{name}", "train_s": t_train,
-                     "predict_s": t_pred, **M.evaluate(y, yhat)})
+    Zte = [F.per_iteration([s])[0] for s in test]
+    setups = (
+        ("", (_task_X(train), np.array([s.total_time for s in train])),
+         lambda model: model.predict(Xte)),
+        ("S-", F.per_iteration(train),
+         lambda model: np.array([model.predict(Z).sum() for Z in Zte])),
+    )
+    rows = []
+    for prefix, (Xtr, ytr), predict in setups:
+        for name, model in _models().items():
+            t0 = time.perf_counter()
+            model.fit(Xtr, ytr)
+            t_train = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            yhat = predict(model)
+            t_pred = time.perf_counter() - t0
+            rows.append({"model": prefix + name, "train_s": t_train,
+                         "predict_s": t_pred, **M.evaluate(y, yhat)})
 
     # Our estimator (beta=4, interaction, per the paper's defaults).
     t0 = time.perf_counter()

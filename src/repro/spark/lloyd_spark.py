@@ -17,6 +17,7 @@ from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import lloyd
+from repro.core.balltree import NO_CLUSTER
 from repro.core.result import AssignStats, check_centroids, check_points, iterate
 from repro.spark import data as sdata
 from repro.spark.daskmeans_spark import SparkKMeansResult
@@ -76,7 +77,10 @@ def fit(
 
     try:
         loop = iterate(C, assign, max_iter)
-        labels_df = assign_df(df, loop.labels_centroids, d).select("id", "cluster")
+        if loop.n_iter:
+            labels_df = assign_df(df, loop.labels_centroids, d).select("id", "cluster")
+        else:  # max_iter = 0: no pass ran, so no point has a cluster yet
+            labels_df = df.select("id", Fn.lit(NO_CLUSTER).cast("bigint").alias("cluster"))
     finally:
         if own_cache:
             df.unpersist()

@@ -4,12 +4,7 @@ import pytest
 
 from repro.estimator import features as F
 from repro.estimator import metrics as M
-from repro.estimator.runtime import (
-    IterationCountLR,
-    PerIterationNLR,
-    RuntimePredictor,
-    TaskSample,
-)
+from repro.estimator.runtime import N_CORE, PolynomialOLS, RuntimePredictor, TaskSample
 
 
 def _synthetic_samples(n_tasks=60, q=10, seed=0, noise=0.0):
@@ -41,6 +36,16 @@ def test_iteration_rows():
     rows = F.iteration_rows(feat, 4)
     assert rows.shape == (4, len(feat) + 1)
     np.testing.assert_array_equal(rows[:, -1], [1, 2, 3, 4])
+
+
+def test_per_iteration_stacks_every_recorded_iteration():
+    samples = _synthetic_samples(3, seed=4)
+    Z, y = F.per_iteration(samples, N_CORE)
+    assert Z.shape == (sum(s.n_iter for s in samples), N_CORE + 1)
+    np.testing.assert_array_equal(Z[: samples[0].n_iter], F.iteration_rows(
+        samples[0].features()[:N_CORE], samples[0].n_iter))
+    np.testing.assert_array_equal(y, np.concatenate([s.iter_times for s in samples]))
+    assert F.per_iteration(samples)[0].shape[1] == len(F.TASK_FEATURES) + 1
 
 
 def test_standardizer():
@@ -76,16 +81,16 @@ def test_expand_evaluates_monomials():
 
 
 def test_ols_recovers_planted_polynomial():
-    """Interaction NLR must fit y = a + b*x1*x2 exactly (it's in the basis)."""
+    """Interaction OLS must fit y = a + b*x1*x2 exactly (it's in the basis)."""
     g = np.random.default_rng(0)
     samples = []
     for _ in range(40):
         n, k = int(g.integers(100, 1000)), int(g.integers(5, 50))
         times = [1e-7 * n * k + 1e-3 * j for j in range(1, 6)]
         samples.append(TaskSample(n=n, k=k, d=2, f=30, iter_times=times))
-    nlr = PerIterationNLR(beta=2, interaction=True).fit(samples)
+    ols = PolynomialOLS(beta=2, interaction=True).fit(*F.per_iteration(samples, N_CORE))
     s = TaskSample(n=555, k=33, d=2, f=30, iter_times=[0] * 5)
-    pred = nlr.predict_iters(s.features(), 5)
+    pred = ols.predict(F.per_iteration([s], N_CORE)[0])
     truth = np.array([1e-7 * 555 * 33 + 1e-3 * j for j in range(1, 6)])
     np.testing.assert_allclose(pred, truth, rtol=1e-4)
 
@@ -97,12 +102,11 @@ def test_iteration_count_lr():
         n = int(g.integers(1000, 10_000))
         v = max(1, min(10, round(n / 1000)))  # v is a linear function of n
         samples.append(TaskSample(n=n, k=10, d=2, f=30, iter_times=[0.01] * v))
-    lr = IterationCountLR().fit(samples, q=10)
-    s = TaskSample(n=5000, k=10, d=2, f=30, iter_times=[])
-    v = lr.predict_v(s.features())
+    rp = RuntimePredictor(beta=1, q=10).fit(samples)
+    u, _ = rp.predict_profile(TaskSample(n=5000, k=10, d=2, f=30, iter_times=[]))
+    v = int(u.sum())
     assert 4 <= v <= 6
-    u = lr.predict_u(s.features())
-    assert u.sum() == v and set(u) <= {0.0, 1.0}
+    np.testing.assert_array_equal(u, np.arange(10) < v)  # a 0/1 prefix of length v
 
 
 def test_runtime_predictor_end_to_end():
@@ -134,8 +138,8 @@ def test_interaction_beats_basic_on_multiplicative_law():
 
 def test_predict_iters_nonnegative():
     train = _synthetic_samples(40, seed=3)
-    nlr = PerIterationNLR(beta=3).fit(train)
-    pred = nlr.predict_iters(train[0].features(), 20)
+    _, pred = RuntimePredictor(beta=3, q=20).fit(train).predict_profile(train[0])
+    assert len(pred) == 20
     assert (pred >= 0).all()
 
 

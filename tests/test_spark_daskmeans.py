@@ -164,13 +164,17 @@ def test_empty_and_tiny_partitions(spark, layout, spark_fit, local_fit):
     assert dist.n_iter == local.n_iter
 
 
-def test_no_iteration_leaves_every_point_unlabelled(spark):
+@pytest.mark.parametrize("spark_fit,local_fit", [
+    (daskmeans_spark.fit, dk_local.fit),
+    (lloyd_spark.fit, lloyd_local.fit),
+], ids=["daskmeans_spark", "lloyd_spark"])
+def test_no_iteration_leaves_every_point_unlabelled(spark, spark_fit, local_fit):
     """As the local fit: with max_iter=0 no pass runs, so every label is
     NO_CLUSTER and the centroids stay the initial ones."""
     X = datasets.make("tdrive", 200, seed=12)
     C0 = cinit.random_init(X, 4, seed=13)
-    local = dk_local.fit(X, C0, 0)
-    dist = daskmeans_spark.fit(
+    local = local_fit(X, C0, 0)
+    dist = spark_fit(
         spark, sdata.to_spark(spark, X, n_partitions=2), 4, d=2, max_iter=0, init_centroids=C0
     )
     lab = dist.labels_df.toPandas().sort_values("id")["cluster"].to_numpy()
