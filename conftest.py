@@ -1,6 +1,12 @@
 import os
 import sys
 
+# The checkout's package, importable without an install: here, and in the
+# Spark Python workers, which inherit PYTHONPATH from the JVM started below.
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
@@ -24,7 +30,8 @@ def _driver_mem() -> str:
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
+            with open(p) as fh:
+                raw = fh.read().strip()
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)

@@ -11,7 +11,8 @@ Structure per iteration:
    (Eq. 5), (b) is batch-assigned to its nearest centroid when the
    nearest-two gap exceeds its diameter (Eq. 6), or (c) is split; leaves
    keep a point's previous cluster when the point-level inter bound
-   proves it (Eq. 4) and take an argmin over their candidates otherwise;
+   proves it (Eq. 4); the other points of a block of leaves take one
+   argmin over the union of those leaves' lists, as Lloyd does over all k;
 4. refine centroids from the per-cluster sum vectors and compute drifts.
 
 Step 4 is ``repro.core.result.iterate``, the loop every accelerated
@@ -37,7 +38,8 @@ prune the kNN search with. The deviation from Alg. 1: the per-node kNN
 over the centroid index becomes this inherited, bound-filtered list, and
 the centroid index now serves Eq. 3/9 only — :func:`compute_cb` walks it
 with the centroids themselves as queries, each node keeping the
-centroids within d2 + 2r (and within the Eq. 9 bound) of its pivot.
+centroids within d2 + 2r (and within the Eq. 9 bound) of its pivot;
+a centroid's cb is the d2 of its leaf's list, which holds it at 0.
 
 Exactness notes (mirroring the paper's reasoning):
 
@@ -152,11 +154,13 @@ class _Lists:
             return [self] if m else []
         return self.take(np.arange(m // 2)).split(cap) + self.take(np.arange(m // 2, m)).split(cap)
 
-    def nearest2(self, tree: BallTree, C: np.ndarray):
-        """Pivot-to-candidate distances ``D`` (one per entry) and, per node,
-        the smallest ``d1``, the lowest id ``n1`` at ``d1`` and the second
-        smallest ``d2`` (inf for a one-entry list). Lists are never empty."""
-        D = _pair_dist(tree.pivot, self.nodes[self.owner], C, self.ids)
+    def nearest2(self, P: np.ndarray, C: np.ndarray):
+        """Distances ``D`` from each node's row of ``P`` (pivots, or the
+        centroids themselves) to its candidates, one per entry, and, per
+        node, the smallest ``d1``, the lowest id ``n1`` at ``d1`` and the
+        second smallest ``d2`` (inf for a one-entry list; lists are never
+        empty)."""
+        D = _pair_dist(P, self.nodes[self.owner], C, self.ids)
         starts = self.ptr[:-1]
         d1 = np.minimum.reduceat(D, starts)
         at = np.arange(len(D))
@@ -178,7 +182,7 @@ def compute_cb(
     the centroids within ``d2 + 2r`` of its pivot, where ``d2`` is the
     second-smallest pivot distance over its list, and, from the second
     iteration (``cb_prev``/``drift`` given), within the Eq. 9 bound
-    ``cb_prev[j] + drift[j] + max(drift)`` of its members plus ``r``.
+    ``cb_prev[j] + drift[j] + max(drift)`` of the centroids it covers plus ``r``.
     Each centroid then scans its leaf's list. One scan of all k centroids
     serves every centroid left at inf: all of them for ``ctree=None``
     (NokNN), and those whose list held no other (a tie at the bound, k = 1).
@@ -196,7 +200,7 @@ def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
     node_ub = None
     if cb_prev is not None:
         ub = cb_prev + drift + drift.max()
-        # Max of ub over each node's members: reduceat over interleaved
+        # Max of ub over each node's centroids: reduceat over interleaved
         # (start, end) pairs; a sentinel keeps the root's end in range.
         bounds = np.column_stack([ctree.start, ctree.end]).ravel()
         node_ub = np.maximum.reduceat(np.append(ub[ctree.idx], 0.0), bounds)[::2]
@@ -204,7 +208,7 @@ def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
     stack = [_Lists.root(len(C))]
     while stack:
         level = stack.pop()
-        D, _, _, d2 = level.nearest2(ctree, C)
+        D, _, _, d2 = level.nearest2(ctree.pivot, C)
         n_dist += len(D)
         r = ctree.radius[level.nodes]
         bound = d2 + 2.0 * r
@@ -222,17 +226,15 @@ def _walk_cb(C, ctree, cb_prev, drift, cb) -> int:
 def _scan_cb(C, lists: _Lists, own, queries, cb) -> int:
     """Set ``cb[queries[i]]`` to the distance from that centroid to the
     nearest *other* centroid in list ``own[i]``, block by block; returns
-    the number of distances computed."""
+    the number of distances computed. That is the list's ``nearest2`` d2,
+    for the list holds the query itself at distance exactly 0."""
     n_dist = 0
     step = max(1, _BLOCK_FLOATS // len(C))
     for s in range(0, len(queries), step):
         ql = lists.take(own[s : s + step], queries[s : s + step])
-        q = ql.nodes[ql.owner]
-        D = _pair_dist(C, q, C, ql.ids)
+        D, _, _, d2 = ql.nearest2(C, C)
         n_dist += len(D)
-        # A coincident centroid of another id gives cb = 0, which is exact.
-        D[q == ql.ids] = np.inf
-        cb[ql.nodes] = np.minimum.reduceat(D, ql.ptr[:-1])
+        cb[ql.nodes] = d2
     return n_dist
 
 
@@ -288,7 +290,7 @@ def assign_pass(
 
         nodes = level.nodes
         r = tree.radius[nodes]
-        D, d1, n1, d2 = level.nearest2(tree, C)
+        D, d1, n1, d2 = level.nearest2(tree.pivot, C)
         stats.n_dist += len(D)
         # Only centroids within d1 + 2r of the pivot can be nearest to a
         # point of the node. Eq. 6: n1 is the only one -> batch-assign.
@@ -329,12 +331,14 @@ def _assign_batches(tree, labels, nodes, ids, stats: AssignStats) -> None:
 def _assign_leaves(tree, C, cb, labels, leaves: _Lists, stats) -> None:
     """Per-point assignment of the leaves the walk reached, in blocks of
     points: Eq. 4 keeps a point's previous cluster, the other points take
-    the lowest-id nearest centroid of their leaf's list. ``n_dist`` counts
-    each such point's list entries (Alg. 1's per-point search), not the
-    masked columns of the block matmul."""
+    Lloyd's block argmin over the union of their leaves' lists, unmasked:
+    a list holds every centroid that can be nearest to one of its points.
+    ``n_dist`` counts each such point's own list entries (Alg. 1's
+    per-point search), not the columns of the block matmul."""
     X = tree.X
     k, d = C.shape
     rows, own = leaves.points(tree)
+    lens = leaves.lens
     step = max(1, _BLOCK_FLOATS // (k + d))
     for s in range(0, len(rows), step):
         rs, os_ = rows[s : s + step], own[s : s + step]
@@ -345,27 +349,14 @@ def _assign_leaves(tree, C, cb, labels, leaves: _Lists, stats) -> None:
         stats.pruned_vectors += int(kept.sum())
         rest = np.flatnonzero(~kept)
         if len(rest):
-            best[rest] = _argmin_lists(pts[rest], os_[rest], leaves, C)
-            stats.n_dist += int(leaves.lens[os_[rest]].sum())
+            o = os_[rest]
+            U = np.unique(leaves.ids[leaves.ptr[o[0]] : leaves.ptr[o[-1] + 1]])
+            best[rest] = U[np.argmin(dist(pts[rest], C[U]), axis=1)]
+            stats.n_dist += int(lens[o].sum())
         stats.changed |= bool((best != prev).any())
         labels[rs] = best
         np.add.at(stats.sv, best, pts)
         stats.cnt += np.bincount(best, minlength=k)
-
-
-def _argmin_lists(P: np.ndarray, own: np.ndarray, lists: _Lists, C: np.ndarray) -> np.ndarray:
-    """Lowest-id nearest centroid of each point ``P[i]`` among the list of
-    node ``own[i]`` (``own`` ascending). One ``dist`` matrix over the union
-    of the lists involved, as in Lloyd; entries outside a point's own list
-    are masked out."""
-    lo, hi = own[0], own[-1] + 1
-    a, b = lists.ptr[lo], lists.ptr[hi]
-    U, col = np.unique(lists.ids[a:b], return_inverse=True)
-    member = np.zeros((hi - lo, len(U)), dtype=bool)
-    member[np.repeat(np.arange(hi - lo), lists.lens[lo:hi]), col] = True
-    D = dist(P, C[U])
-    D[~member[own - lo]] = np.inf
-    return U[np.argmin(D, axis=1)]
 
 
 @dataclass

@@ -63,12 +63,9 @@ class SparkKMeansResult(LoopResult):
 def _built(batches, cols: list[str], f: int):
     """The initial (ids, tree, labels) of a partition from its [id, x0..]
     Arrow batches; an empty partition holds no state."""
-    batches = list(batches)
-    if not sum(b.num_rows for b in batches):
-        return
-    rows = pa.Table.from_batches(batches)
-    X = check_points(np.column_stack([rows.column(c).to_numpy() for c in cols]))
-    yield rows.column("id").to_numpy(), bt.build(X, f), np.full(len(X), NO_CLUSTER, dtype=np.int64)
+    if (pair := sdata.arrays(batches, cols)) is not None:
+        ids, X = pair
+        yield ids, bt.build(check_points(X), f), np.full(len(X), NO_CLUSTER, dtype=np.int64)
 
 
 def _stored(batches):

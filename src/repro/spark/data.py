@@ -8,8 +8,11 @@ write their [id, cluster] ``labels_df`` on the executors.
 """
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 
@@ -30,23 +33,29 @@ def to_spark(
     return df
 
 
+def arrays(batches, cols: list[str]):
+    """The (ids, X) NumPy pair of a partition's [id, *cols] Arrow batches,
+    one column of X per ``cols``; None if they hold no row."""
+    batches = list(batches)
+    if not sum(b.num_rows for b in batches):
+        return None
+    rows = pa.Table.from_batches(batches)
+    return rows.column("id").to_numpy(), np.column_stack([rows.column(c).to_numpy() for c in cols])
+
+
 def partition_arrays(df: DataFrame, d: int):
     """RDD of (ids, X) NumPy pairs, one element per partition.
 
     Empty partitions yield nothing. These are the partitions, rows in the
-    same order, that Spark Dask-means builds one tree each over (it reads
-    them as Arrow batches in its first pass), so this is how to inspect
-    its layout and index memory.
+    same order, that Spark Dask-means builds one tree each over, read by
+    the same :func:`arrays`, so this is how to inspect its layout and
+    index memory.
     """
-    cols = ["id", *dim_cols(d)]
+    cols = dim_cols(d)
 
-    def _collect(rows):
-        pdf = pd.DataFrame(list(rows), columns=cols)
-        if len(pdf) == 0:
-            return
-        ids = pdf["id"].to_numpy(dtype=np.int64)
-        X = pdf[cols[1:]].to_numpy(dtype=np.float64)
-        yield ids, X
+    def _pickled(batches):
+        if (pair := arrays(batches, cols)) is not None:
+            yield pa.RecordBatch.from_arrays([pa.array([pickle.dumps(pair)])], names=["pair"])
 
-    return df.select(*cols).rdd.mapPartitions(_collect)
-
+    pairs = df.select("id", *cols).mapInArrow(_pickled, "pair binary")
+    return pairs.rdd.map(lambda r: pickle.loads(r.pair))
