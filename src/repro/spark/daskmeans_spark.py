@@ -5,9 +5,10 @@ edge fleets; the reproduction plan realizes it as a Spark per-partition
 operator:
 
 * **state** — one persisted DataFrame with one row per non-empty
-  partition and two binary columns: ``state``, the pickled (ids,
-  Ball-tree with its a(N) array ``cluster``, labels a(i)), and ``stats``,
-  the pickled ``AssignStats`` of the last pass. Cached rows are
+  partition and four columns: ``tree``, the pickled Ball-tree with its
+  a(N) array ``cluster``; ``stats``, the pickled ``AssignStats`` of the
+  last pass; and ``id`` and ``cluster``, the partition's ids and its
+  labels a(i) as one Arrow list each. Cached rows are
   immutable, so every iteration maps the state to the next one: one
   ``mapInArrow``, one Python pass per task, whose output is persisted
   while the previous state is unpersisted. The first pass reads the
@@ -24,9 +25,9 @@ operator:
   the ``stats`` column (a JVM-only projection of the cached state) and
   adds up the partitions' ``AssignStats`` (per-cluster sums and counts,
   counters).
-* **labels** — ``labels_df`` is written from the final state on the
-  executors and checkpointed; no label or tree passes through the
-  driver.
+* **labels** — ``labels_df`` is the final state's ``id`` and ``cluster``
+  lists zipped and exploded, a JVM-only projection of the cached state,
+  checkpointed; no label or tree passes through the driver.
 
 Because every partition applies the exact algorithm to its share of the
 points and refinement uses global sums, the result equals the local
@@ -50,7 +51,7 @@ from repro.core.balltree import NO_CLUSTER
 from repro.core.result import AssignStats, LoopResult, check_centroids, check_points, iterate
 from repro.spark import data as sdata
 
-_STATE_SCHEMA = "state binary, stats binary"
+_STATE_SCHEMA = "tree binary, stats binary, id array<bigint>, cluster array<bigint>"
 
 
 @dataclass
@@ -68,11 +69,19 @@ def _built(batches, cols: list[str], f: int):
         yield ids, bt.build(check_points(X), f), np.full(len(X), NO_CLUSTER, dtype=np.int64)
 
 
+def _column(values) -> pa.ListArray:
+    """An Arrow list column of one row, ``values``."""
+    return pa.ListArray.from_arrays([0, len(values)], pa.array(values))
+
+
 def _stored(batches):
-    """The (ids, tree, labels) of each state row in a partition's batches."""
+    """The (ids, tree, labels) of each state row in a partition's batches;
+    the labels are a writable copy, as ``assign_pass`` updates them."""
     for batch in batches:
-        for blob in batch.column("state").to_pylist():
-            yield pickle.loads(blob)
+        cols = (batch.column(c) for c in ("tree", "id", "cluster"))
+        for tree, ids, labels in zip(*cols):
+            ids, labels = ids.values.to_numpy(), np.array(labels.values, np.int64)
+            yield ids, pickle.loads(tree.as_py()), labels
 
 
 def _step(states, bc):
@@ -80,15 +89,11 @@ def _step(states, bc):
     the pass's stats."""
     for ids, tree, labels in states:
         stats = daskmeans.assign_pass(tree, *bc.value, labels)
-        blobs = [pickle.dumps(o, pickle.HIGHEST_PROTOCOL) for o in ((ids, tree, labels), stats)]
+        blobs = [pickle.dumps(o, pickle.HIGHEST_PROTOCOL) for o in (tree, stats)]
         yield pa.RecordBatch.from_arrays(
-            [pa.array([b], pa.binary()) for b in blobs], names=["state", "stats"]
+            [pa.array([b], pa.binary()) for b in blobs] + [_column(ids), _column(labels)],
+            names=["tree", "stats", "id", "cluster"],
         )
-
-
-def _labels(batches):
-    for ids, _, labels in _stored(batches):
-        yield pa.RecordBatch.from_arrays([pa.array(ids), pa.array(labels)], names=["id", "cluster"])
 
 
 def fit(
@@ -118,7 +123,7 @@ def fit(
         bc = sc.broadcast((C, cb))
         broadcasts.append(bc)
         if states:
-            src, read = states[-1].select("state"), _stored
+            src, read = states[-1].select("tree", "id", "cluster"), _stored
         else:  # the first pass builds each partition's tree
             src, read = rows, lambda it: _built(it, cols, f)
         states.append(src.mapInArrow(lambda it: _step(read(it), bc), _STATE_SCHEMA).persist())
@@ -132,7 +137,7 @@ def fit(
     try:
         loop = iterate(C, daskmeans.Hook(assign_points, f), max_iter)
         if states:
-            labels_df = states[-1].select("state").mapInArrow(_labels, "id bigint, cluster bigint")
+            labels_df = states[-1].select(Fn.inline(Fn.arrays_zip("id", "cluster")))
         else:  # max_iter = 0: no pass ran, so no point has a cluster yet
             labels_df = rows.select("id", Fn.lit(NO_CLUSTER).cast("bigint").alias("cluster"))
         # Checkpointed, so labels_df carries no lineage into the state it

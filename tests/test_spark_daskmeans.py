@@ -1,7 +1,14 @@
 """Distributed Dask-means tests: equivalence with the local algorithm and
 DuckDB-oracle validation of the distributed assignment."""
+import os
+import subprocess
+import sys
+import textwrap
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyspark.sql.functions as Fn
 import pytest
 
@@ -196,3 +203,124 @@ def test_fit_leaves_only_the_labels_checkpoint(spark):
     assert persistent().size() <= before + 1
     daskmeans_spark.fit(spark, df, 8, d=2, max_iter=4, init_centroids=C0)
     assert first.labels_df.count() == len(X)
+
+
+@pytest.mark.parametrize("spark_fit, max_iter", [
+    (daskmeans_spark.fit, 6), (daskmeans_spark.fit, 0), (lloyd_spark.fit, 1),
+], ids=["daskmeans_spark", "daskmeans_spark-no-iteration", "lloyd_spark"])
+def test_labels_df_types(spark, fixture2d, spark_fit, max_iter):
+    """``labels_df`` is [id bigint, cluster bigint] on every branch of both
+    fits, whatever expression builds it."""
+    X, C0, df = fixture2d
+    dist = spark_fit(spark, df, 16, d=2, max_iter=max_iter, init_centroids=C0)
+    assert dist.labels_df.dtypes == [("id", "bigint"), ("cluster", "bigint")]
+
+
+def test_state_round_trip():
+    """``_stored`` reads back the (ids, tree, labels) that ``_step`` wrote
+    after its pass, whether the state rows come one per batch or together,
+    with labels ``assign_pass`` can update; an empty partition holds no
+    state."""
+    X = datasets.make("tdrive", 300, seed=14)
+    C = cinit.random_init(X, 4, seed=15)
+    cols = sdata.dim_cols(2)
+
+    def batch(lo, hi):
+        return pa.RecordBatch.from_arrays(
+            [pa.array(np.arange(lo, hi))] + [pa.array(X[lo:hi, j]) for j in range(2)],
+            names=["id", *cols],
+        )
+
+    parts = [(0, 100), (100, 300)]
+    states = [next(daskmeans_spark._built([batch(lo, hi)], cols, 30)) for lo, hi in parts]
+    batches = list(daskmeans_spark._step(iter(states), SimpleNamespace(value=(C, None))))
+    one_batch = pa.Table.from_batches(batches).combine_chunks().to_batches()
+    assert [b.num_rows for b in batches] == [1, 1] and [b.num_rows for b in one_batch] == [2]
+    for stored in (batches, one_batch):
+        back = list(daskmeans_spark._stored(stored))
+        assert len(back) == len(states) == 2
+        for (ids, tree, labels), (ids2, tree2, labels2) in zip(states, back):
+            np.testing.assert_array_equal(ids2, ids)
+            np.testing.assert_array_equal(labels2, labels)
+            assert labels2.dtype == np.int64 and labels2.flags.writeable
+            assert vars(tree2).keys() == vars(tree).keys()
+            for name, value in vars(tree).items():
+                np.testing.assert_array_equal(getattr(tree2, name), value, err_msg=name)
+    assert all((labels != NO_CLUSTER).all() for _, _, labels in states)
+    assert (states[0][1].cluster != NO_CLUSTER).any()
+    assert list(daskmeans_spark._built([batch(0, 0)], cols, 30)) == []
+    assert list(daskmeans_spark._built([], cols, 30)) == []
+
+
+_RETRY_FIT = textwrap.dedent("""
+    import os
+    import sys
+
+    import numpy as np
+    from pyspark import TaskContext
+    from pyspark.sql import SparkSession
+
+    from repro import datasets
+    from repro.core import init as cinit
+    from repro.spark import data as sdata, daskmeans_spark
+
+    markers, out = sys.argv[1:]
+    spark = SparkSession.builder.getOrCreate()
+    X = datasets.make("tdrive", 2000, seed=6)
+    C0 = cinit.random_init(X, 8, seed=7)
+    df = sdata.to_spark(spark, X, n_partitions=2)
+
+
+    def fit():
+        res = daskmeans_spark.fit(spark, df, 8, d=2, max_iter=4, init_centroids=C0)
+        labels = res.labels_df.toPandas().sort_values("id")["cluster"].to_numpy()
+        return [res.centroids, labels, res.n_dist, res.pruned_vectors, res.n_iter]
+
+
+    clean = fit()
+    step = daskmeans_spark._step
+
+
+    def failing_step(states, bc):
+        # The first attempt of partition 0 fails in the first pass (the
+        # build) and in the third; the retry runs the pass.
+        task = TaskContext.get()
+        if task.partitionId() == 0 and task.attemptNumber() == 0:
+            n = sum(name.startswith("pass-") for name in os.listdir(markers))
+            open(os.path.join(markers, f"pass-{n}"), "w").close()
+            if n in (0, 2):
+                open(os.path.join(markers, f"failed-{n}"), "w").close()
+                raise RuntimeError(f"injected failure in pass {n}")
+        return step(states, bc)
+
+
+    daskmeans_spark._step = failing_step
+    failed = fit()
+    np.savez(out, *clean, *failed)
+""")
+
+
+def test_failed_tasks_replay_the_same_fit(tmp_path):
+    """A fit whose tasks fail once, in the build pass and in a later pass,
+    and are retried equals the fit without failures. Retries need a
+    ``local[N,F]`` master, and a JVM holds one SparkContext, so the fits
+    run in a subprocess with its own."""
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    out = tmp_path / "fits.npz"
+    env = dict(os.environ, PYSPARK_SUBMIT_ARGS=(
+        "--master local[2,2] --driver-memory 1g --conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell"
+    ))
+    run = subprocess.run(
+        [sys.executable, "-c", _RETRY_FIT, str(markers), str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-3000:]
+    assert sorted(p.name for p in markers.glob("failed-*")) == ["failed-0", "failed-2"]
+    fits = np.load(out)
+    clean, failed = [[fits[f"arr_{i}"] for i in range(j, j + 5)] for j in (0, 5)]
+    np.testing.assert_array_equal(failed[0], clean[0])  # centroids
+    np.testing.assert_array_equal(failed[1], clean[1])  # labels
+    assert [int(v) for v in failed[2:]] == [int(v) for v in clean[2:]]  # n_dist, pruned, n_iter
+    assert int(clean[4]) == 4
